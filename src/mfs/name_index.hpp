@@ -25,8 +25,8 @@ enum class LookupDiscipline {
   kHtree,       // ext4/Lustre: hash straight to the right block
 };
 
-/// FNV-1a, stable across runs — also used by the MDS cluster to partition
-/// giant directories (§IV-C).
+/// FNV-1a, stable across runs — also shard::hash_of, the hash placement of
+/// a multi-MDS mount.
 u64 name_hash(std::string_view name);
 
 class NameIndex {

@@ -24,8 +24,8 @@
 // rpc.pipeline.* metrics plus the rpc.inflight window-occupancy histogram.
 //
 // Placement in the chain: directly above InprocTransport —
-// Fault(Batching(Async(Inproc))) — so faults fail tickets before issue and
-// batching still coalesces frames underneath its own deferred acks.
+// Fault(Formation(Async(Inproc))) — so faults fail tickets before issue and
+// formation still packs frames underneath its own deferred acks.
 #pragma once
 
 #include <functional>

@@ -34,15 +34,15 @@ FormationTransport::~FormationTransport() {
   if (!sticky_.ok()) {
     ++stats_.dropped_errors;
     if (spans_)
-      spans_->record_sim(
-          cfg_.legacy ? "batch.dropped_error" : "formation.dropped_error",
-          obs::make_track(track_ns_, kFormationLane), 0.0, 0.0,
-          spans_->ambient(), static_cast<u64>(sticky_.error()), 1);
-    std::fprintf(
-        stderr, "[mif.%s] destructor dropped sticky deferred error: %.*s\n",
-        cfg_.legacy ? "batch" : "formation",
-        static_cast<int>(to_string(sticky_.error()).size()),
-        to_string(sticky_.error()).data());
+      spans_->record_sim("formation.dropped_error",
+                         obs::make_track(track_ns_, kFormationLane), 0.0, 0.0,
+                         spans_->ambient(), static_cast<u64>(sticky_.error()),
+                         1);
+    std::fprintf(stderr,
+                 "[mif.formation] destructor dropped sticky deferred error: "
+                 "%.*s\n",
+                 static_cast<int>(to_string(sticky_.error()).size()),
+                 to_string(sticky_.error()).data());
   }
 }
 
@@ -178,6 +178,9 @@ Result<Response> FormationTransport::call(const Address& to,
         q.reqs.size() >= cfg_.max_queue_msgs) {
       ++stats_.watermark_flushes;
       (void)flush_queue_locked(q);
+      // Drop the drained queue: a queue present in queues_ always holds
+      // envelopes, so the next barrier counts only when work is staged.
+      queues_.erase(key(to));
     }
     return Response{VoidResponse{}};  // deferred ack
   }

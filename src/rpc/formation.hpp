@@ -1,12 +1,10 @@
 // FormationTransport: first-class RPC frame formation (motr-style).
 //
-// The batching layer treated "what goes on the wire together" as an emergent
-// property of its flush triggers: everything a destination had queued at the
-// watermark shipped as ONE arbitrarily-large frame.  This layer makes frame
-// formation explicit, the way Lustre/motr's formation engine does: per-
-// destination staging queues accept deferrable envelopes (same early-ack +
-// sticky-error semantics as batching), and a flush *packs* the queue into
-// frames bounded by `max_frame_bytes`, ordered by urgency class —
+// Frame formation is explicit here, the way Lustre/motr's formation engine
+// does it: per-destination staging queues accept deferrable envelopes (early
+// ack; a later failure is held sticky and surfaced by the next flush or
+// barrier), and a flush *packs* the queue into frames bounded by
+// `max_frame_bytes`, ordered by urgency class —
 //
 //   barrier   — non-deferrable ops; never staged, they flush the queues and
 //               pass through (order with respect to staged work preserved);
@@ -20,11 +18,8 @@
 // into F frames puts F headers on the wire — the formation win is choosing
 // F, not hiding bytes.  An envelope whose lone marginal body exceeds
 // `max_frame_bytes` ships as an oversize singleton frame (counted) rather
-// than wedging the queue.
-//
-// BatchingTransport is now a thin compatibility adapter over this engine
-// (legacy mode: unbounded frames = exactly the old coalesce-on-watermark
-// behavior, exported under the historical batch.* keys).
+// than wedging the queue; `max_frame_bytes = ~0ull` means one frame per
+// destination flush.
 #pragma once
 
 #include <map>
@@ -50,9 +45,6 @@ struct FormationConfig {
   /// Pack deferrable metadata envelopes ahead of data in a mixed queue (and
   /// MDS destinations already flush before OSD by key order).
   bool urgent_first{true};
-  /// Batching-compat mode: the adapter sets this so destructor-drop spans
-  /// keep the historical "batch." naming.
-  bool legacy{false};
 };
 
 /// "" when `cfg` is mountable; otherwise a human-readable reason.

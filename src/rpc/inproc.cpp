@@ -186,7 +186,7 @@ Result<Response> InprocTransport::call(const Address& to, const Request& req) {
 Status InprocTransport::call_batch(const Address& to,
                                    std::vector<Request> reqs) {
   if (reqs.empty()) return {};
-  // A flushed frame carries its contributors' principals (BatchingTransport
+  // A flushed frame carries its contributors' principals (FormationTransport
   // runs the flush on whatever thread tripped the watermark — the ambient
   // there is the flusher, not the contributors).
   const auto [fp, fp_n] = obs::frame_principals();
@@ -198,7 +198,7 @@ Status InprocTransport::call_batch(const Address& to,
     return r ? Status{} : Status{r.error()};
   }
   // One wire frame: a single shared header plus every envelope's body (and
-  // data payload).  This — not the dispatch below — is what batching buys.
+  // data payload).  This — not the dispatch below — is what formation buys.
   u64 frame = kHeaderBytes;
   for (const Request& r : reqs) frame += wire_bytes(r) - kHeaderBytes;
   obs::ScopedSpan span(spans_, "rpc.batch", to.index, reqs.size());

@@ -12,7 +12,7 @@
 //     aggregates.
 //
 // call_batch() delivers several envelopes as ONE wire frame (one shared
-// header, one network exchange) — the quantity BatchingTransport optimises.
+// header, one network exchange) — the quantity FormationTransport optimises.
 //
 // Thread-safety: dispatch into storage targets may run concurrently (the
 // targets lock internally); both sim::Network instances are plain

@@ -18,7 +18,7 @@
 // would hand the antagonist a bypass).  flush() releases everything — the
 // drain-on-unmount path.
 //
-// Placement: above the formation/batching layer, below fault/shard —
+// Placement: above the formation layer, below fault/shard —
 //   Sharded( Fault( Qos( Formation( Async( Inproc )))))
 // so a throttled envelope never reaches a staging queue or the pipeline
 // until its tokens are available.  Built only when QosConfig::enabled, so

@@ -20,10 +20,7 @@ TransportStack::TransportStack(Endpoints eps, const TransportOptions& opt) {
     async_ = std::make_unique<AsyncTransport>(*top_, acfg);
     top_ = async_.get();
   }
-  if (opt.kind == TransportOptions::Kind::kBatching) {
-    batching_ = std::make_unique<BatchingTransport>(*top_, opt.batching);
-    top_ = batching_.get();
-  } else if (opt.kind == TransportOptions::Kind::kFormation) {
+  if (opt.kind == TransportOptions::Kind::kFormation) {
     formation_ = std::make_unique<FormationTransport>(*top_, opt.formation);
     top_ = formation_.get();
   }

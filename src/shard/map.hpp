@@ -1,16 +1,12 @@
-// shard::Map — the one placement policy every multi-MDS component uses.
+// shard::Map — the placement policy shard::ShardedTransport routes by.
 //
-// The paper's §IV-C/§IV-D clusters place metadata two ways:
+// The paper's §IV-D clusters place metadata two ways:
 //   * kSubtree — a directory and everything beneath it live on the shard its
 //     top-level directory was delegated to (round-robin at mkdir time).
 //     Locality preserved: an aggregated readdirplus touches ONE shard.
 //   * kHash   — every path is placed by a stable name hash.  Load spread
 //     evenly, locality sacrificed: aggregates must fan out to every shard
 //     (the limitation Sears & van Ingen call out for hashed placement).
-//
-// This used to live twice (MdsCluster's name-hash routing, SubtreeCluster's
-// delegation map); both routers and the whole-stack shard::ShardedTransport
-// now share this map, so a placement change lands everywhere at once.
 #pragma once
 
 #include <string>
@@ -28,9 +24,8 @@ enum class Policy : u8 {
 std::string_view to_string(Policy p);
 
 /// The cluster-wide placement hash (FNV-1a, stable across runs and
-/// processes).  Every shard-owner decision — giant-directory striping,
-/// pathname-hash distribution, the primary's negative-lookup set — uses this
-/// one function, so two components never disagree about an owner.
+/// processes).  Every hash-placed owner decision uses this one function, so
+/// two components never disagree about an owner.
 u64 hash_of(std::string_view key);
 
 class Map {

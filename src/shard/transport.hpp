@@ -2,11 +2,11 @@
 //
 // Sits OUTERMOST in the transport chain:
 //
-//   Sharded( Fault( Batching( Async( Inproc ))))
+//   Sharded( Fault( Formation( Async( Inproc ))))
 //
 // i.e. it is client-library logic, above the "NIC": every sub-envelope it
 // emits (each fan-out leg, each phase of a cross-shard rename) separately
-// traverses the fault/batching/async layers and is separately charged by the
+// traverses the fault/formation/async layers and is separately charged by the
 // wire transport — so fault injection can kill a rename between its phases,
 // and a readdir fan-out really costs N exchanges.
 //

@@ -1,16 +1,14 @@
 // Frame-formation engine tests: every packed frame respects max_frame_bytes
 // (oversize singletons excepted and counted), metadata frames leave before
 // data, coalescing and list folding survive the packer, watermark/queue-depth
-// backpressure, barrier ordering, deferred-error stickiness, and the
-// destructor's observable-drop contract for both the formation layer and the
-// legacy batching adapter.
+// backpressure, barrier ordering and counting, deferred-error stickiness, and
+// the destructor's observable-drop contract.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "obs/span.hpp"
 #include "osd/storage_target.hpp"
-#include "rpc/batching.hpp"
 #include "rpc/fault.hpp"
 #include "rpc/formation.hpp"
 #include "rpc/inproc.hpp"
@@ -240,6 +238,24 @@ TEST(Formation, BarrierFlushesStagedWorkFirst) {
   EXPECT_EQ(f.stats().barrier_flushes, 1u);
 }
 
+TEST(Formation, BarrierAfterWatermarkDrainCountsNoFlush) {
+  ProbeTransport probe;
+  FormationConfig cfg = no_backpressure();
+  cfg.watermark_bytes = kOneBlockWire;
+  FormationTransport f(probe, cfg);
+  ASSERT_TRUE(f.call(osd_at(0), write_req(1, 0, 1)).ok());  // hits watermark
+  ASSERT_EQ(f.pending_bytes(), 0u);
+  BlockReadRequest read;
+  read.ino = InodeNo{1};
+  read.runs.push_back(BlockRun{FileBlock{0}, 1});
+  // Nothing is staged, so neither barrier shape flushes anything.
+  ASSERT_TRUE(f.call(osd_at(0), Request{read}).ok());
+  ASSERT_TRUE(f.call_batch(osd_at(0), {Request{read}}).ok());
+  EXPECT_EQ(probe.frames.size(), 2u);  // the watermark frame + the batch
+  EXPECT_EQ(f.stats().watermark_flushes, 1u);
+  EXPECT_EQ(f.stats().barrier_flushes, 0u);
+}
+
 // --- deferred errors --------------------------------------------------------
 
 struct OsdPair {
@@ -284,37 +300,19 @@ TEST(Formation, DestructorDropIsObservable) {
   EXPECT_TRUE(saw_drop);
 }
 
-TEST(Batching, AdapterDestructorDropKeepsTheLegacyName) {
-  obs::SpanCollector spans;
-  OsdPair osds;
-  InprocTransport inproc(osds.eps());
-  FaultTransport fault(inproc);
-  {
-    BatchingTransport b(fault, BatchingConfig{});
-    b.set_spans(&spans);
-    ASSERT_TRUE(b.call(osd_at(0), write_req(1, 0, 1)).ok());
-    fault.arm({.drop_after = 0, .drop_count = 1});
-  }
-  bool saw_drop = false;
-  for (const obs::SpanRecord& r : spans.spans())
-    if (r.name == "batch.dropped_error") saw_drop = true;
-  EXPECT_TRUE(saw_drop);
-}
-
-// The adapter's unbounded legacy frames: one frame per destination flush, no
-// matter how much is staged — exactly the historical batching behavior.
-TEST(Batching, AdapterShipsUnboundedLegacyFrames) {
+// Unbounded frames: one frame per destination flush, no matter how much is
+// staged.
+TEST(Formation, UnboundedFramesShipOneFramePerFlush) {
   ProbeTransport probe;
-  BatchingConfig cfg;
-  cfg.watermark_bytes = 1ull << 40;
-  cfg.max_queue_msgs = 1ull << 20;
-  BatchingTransport b(probe, cfg);
+  FormationConfig cfg = no_backpressure();
+  cfg.max_frame_bytes = ~0ull;
+  FormationTransport f(probe, cfg);
   for (u64 i = 0; i < 32; ++i)
-    ASSERT_TRUE(b.call(osd_at(0), write_req(100 + i, 0, 1)).ok());
-  ASSERT_TRUE(b.flush().ok());
+    ASSERT_TRUE(f.call(osd_at(0), write_req(100 + i, 0, 1)).ok());
+  ASSERT_TRUE(f.flush().ok());
   ASSERT_EQ(probe.frames.size(), 1u);
   EXPECT_EQ(probe.frames[0].reqs.size(), 32u);
-  EXPECT_EQ(b.stats().wire_messages, 1u);
+  EXPECT_EQ(f.stats().wire_messages, 1u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Sharded metadata service: placement map, inode tagging, whole-stack
 // routing through shard::ShardedTransport (fan-out aggregation, per-shard
-// colocation), the two-phase cross-shard rename (including a
-// FaultTransport-injected failure between the phases + recovery), and the
-// shard.* observability surface.
+// colocation, namespace semantics under both placement policies, the §IV-D
+// embedded-directory locality claim), the two-phase cross-shard rename
+// (including a FaultTransport-injected failure between the phases +
+// recovery), and the shard.* observability surface.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -117,6 +118,9 @@ TEST(ShardedStack, SubtreeKeepsDirectoryColocated) {
   EXPECT_EQ(before.ops_per_shard[0], 1u);
   EXPECT_EQ(before.ops_per_shard[2], 1u);
   EXPECT_EQ(before.ops_per_shard[3], 1u);
+  for (std::size_t s = 0; s < fs.mds_shards(); ++s) {
+    EXPECT_GT(fs.mds(s).stats().rpcs, 0u) << "shard " << s;
+  }
 
   // An aggregated listing of one directory touches exactly ONE shard: no
   // fan-out is recorded.
@@ -172,6 +176,90 @@ TEST(ShardedStack, DataPathRoundTripsUnderShardedMetadata) {
       EXPECT_TRUE(fs.target(t).verify().ok());
     }
   }
+}
+
+// --- namespace semantics and placement (§IV-C/§IV-D) -----------------------
+
+/// Embedded directories on every shard, as the §IV-D ablation mounts them.
+core::ClusterConfig embedded_cfg(u32 shards, shard::Policy policy) {
+  core::ClusterConfig cfg = sharded_cfg(shards, policy);
+  cfg.mds.mfs.mode = mfs::DirectoryMode::kEmbedded;
+  cfg.mds.mfs.cache_blocks = 1024;
+  return cfg;
+}
+
+class ShardedPolicy : public ::testing::TestWithParam<shard::Policy> {};
+
+TEST_P(ShardedPolicy, NamespaceSemanticsHold) {
+  core::ParallelFileSystem fs(embedded_cfg(3, GetParam()));
+  rpc::Client& rpc = fs.rpc();
+  ASSERT_TRUE(rpc.mkdir("a"));
+  ASSERT_TRUE(rpc.create("a/f"));
+  EXPECT_TRUE(rpc.stat("a/f").ok());
+  EXPECT_TRUE(rpc.utime("a/f").ok());
+  EXPECT_TRUE(rpc.unlink("a/f").ok());
+  EXPECT_EQ(rpc.stat("a/f").error(), Errc::kNotFound);
+  EXPECT_EQ(rpc.unlink("a/f").error(), Errc::kNotFound);
+  // The name can be recreated after deletion.
+  EXPECT_TRUE(rpc.create("a/f"));
+}
+
+TEST_P(ShardedPolicy, DuplicateCreateIsRefused) {
+  core::ParallelFileSystem fs(embedded_cfg(2, GetParam()));
+  ASSERT_TRUE(fs.rpc().mkdir("giant"));
+  ASSERT_TRUE(fs.rpc().create("giant/x"));
+  EXPECT_EQ(fs.rpc().create("giant/x").error(), Errc::kExists);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, ShardedPolicy,
+    ::testing::Values(shard::Policy::kSubtree, shard::Policy::kHash),
+    [](const ::testing::TestParamInfo<shard::Policy>& info) {
+      return std::string(to_string(info.param));
+    });
+
+TEST(ShardedStack, HashSpreadsAGiantDirectoryOverEveryShard) {
+  core::ParallelFileSystem fs(embedded_cfg(4, shard::Policy::kHash));
+  ASSERT_TRUE(fs.rpc().mkdir("giant"));
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(fs.rpc().create("giant/state." + std::to_string(i)));
+  }
+  // The skeleton is mirrored; each child lives on its hash owner only.
+  u64 sum = 0;
+  for (std::size_t s = 0; s < fs.mds_shards(); ++s) {
+    auto part = fs.mds(s).readdir("giant");
+    ASSERT_TRUE(part);
+    EXPECT_GT(part->size(), 0u) << "shard " << s;
+    sum += part->size();
+  }
+  EXPECT_EQ(sum, 2000u);
+}
+
+// The §IV-D claim, measured: the disk-access benefit of the aggregated
+// readdir-stat survives subtree placement but not hash placement (scattered
+// children mean several shards each sweep their own piece).
+TEST(ShardedStack, EmbeddedBenefitSurvivesSubtreeNotHash) {
+  auto run = [](shard::Policy policy) {
+    core::ParallelFileSystem fs(embedded_cfg(4, policy));
+    EXPECT_TRUE(fs.rpc().mkdir("big"));
+    for (int i = 0; i < 2000; ++i)
+      EXPECT_TRUE(fs.rpc().create("big/f" + std::to_string(i)));
+    auto accesses = [&fs] {
+      u64 n = 0;
+      for (std::size_t s = 0; s < fs.mds_shards(); ++s)
+        n += fs.mds(s).fs().disk_accesses();
+      return n;
+    };
+    for (std::size_t s = 0; s < fs.mds_shards(); ++s) {
+      fs.mds(s).finish();
+      fs.mds(s).fs().cache().invalidate_all();
+    }
+    const u64 a0 = accesses();
+    EXPECT_TRUE(fs.rpc().readdir_stats("big"));
+    fs.finish_mds();
+    return accesses() - a0;
+  };
+  EXPECT_LT(run(shard::Policy::kSubtree), run(shard::Policy::kHash));
 }
 
 // --- rename -----------------------------------------------------------------

@@ -1,5 +1,5 @@
 // System matrix: miniature versions of every workload, run across the full
-// (allocator × directory-layout × shards × list-I/O/pipeline) configuration
+// (allocator × directory-layout × shards × I/O-mode) configuration
 // grid.  Each cell must (a) complete without errors, (b) leave every storage
 // target and the namespace verifiably consistent, (c) be bit-deterministic
 // across two runs, and (d) conserve the attribution ledger against the
@@ -22,12 +22,13 @@
 namespace mif {
 namespace {
 
-/// (list_io_max_runs, pipeline_depth, qos, replicas): the per-block sync
-/// mount, list I/O over the sync chain, list I/O over a depth-4 async
-/// pipeline, the pipelined mount with per-client token-bucket QoS enforcing
-/// a rate low enough to actually park envelopes mid-workload, and a 2-way
-/// replicated mount fanning every stripe unit to its copy target.
-using IoMode = std::tuple<u64, u32, bool, u32>;
+/// (list_io_max_runs, pipeline_depth, qos, replicas, formation): the
+/// per-block sync mount, list I/O over the sync chain, list I/O over a
+/// depth-4 async pipeline, the pipelined mount with per-client token-bucket
+/// QoS enforcing a rate low enough to actually park envelopes mid-workload,
+/// a 2-way replicated mount fanning every stripe unit to its copy target,
+/// and the pipelined list-I/O mount staged through FormationTransport.
+using IoMode = std::tuple<u64, u32, bool, u32, bool>;
 
 using Config =
     std::tuple<alloc::AllocatorMode, mfs::DirectoryMode, u32, IoMode>;
@@ -43,7 +44,8 @@ std::string config_name(const ::testing::TestParamInfo<Config>& info) {
          std::to_string(std::get<1>(io)) + (std::get<2>(io) ? "_qos" : "") +
          (std::get<3>(io) >= 2
               ? "_r" + std::to_string(std::get<3>(io))
-              : "");
+              : "") +
+         (std::get<4>(io) ? "_fmt" : "");
 }
 
 class SystemMatrix : public ::testing::TestWithParam<Config> {
@@ -66,6 +68,7 @@ class SystemMatrix : public ::testing::TestWithParam<Config> {
       cfg.rpc.qos.burst_bytes = 64 * 1024;
     }
     if (std::get<3>(io) >= 2) cfg.redundancy.replicas = std::get<3>(io);
+    if (std::get<4>(io)) cfg.rpc.kind = rpc::TransportOptions::Kind::kFormation;
     return cfg;
   }
 
@@ -219,12 +222,16 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1u, 3u),
         // I/O mode: per-block sync (the paper's default), list I/O on the
         // sync chain, list I/O through a depth-4 async pipeline, the
-        // pipelined chain under token-bucket QoS admission control, and a
+        // pipelined chain under token-bucket QoS admission control, a
         // 2-way replicated pipelined mount (every workload doubles its
-        // stripe-unit writes through the redundancy fan).
-        ::testing::Values(IoMode{0, 1, false, 1}, IoMode{64, 1, false, 1},
-                          IoMode{64, 4, false, 1}, IoMode{64, 4, true, 1},
-                          IoMode{64, 4, false, 2})),
+        // stripe-unit writes through the redundancy fan), and the
+        // pipelined list-I/O chain staged through frame formation.
+        ::testing::Values(IoMode{0, 1, false, 1, false},
+                          IoMode{64, 1, false, 1, false},
+                          IoMode{64, 4, false, 1, false},
+                          IoMode{64, 4, true, 1, false},
+                          IoMode{64, 4, false, 2, false},
+                          IoMode{64, 4, false, 1, true})),
     config_name);
 
 }  // namespace
