@@ -5,8 +5,9 @@
 #
 # Runs the fastest figure bench in --quick mode with both --trace and --json,
 # then validates the span dump: well-formed Chrome trace events (ph/ts/dur),
-# sane timestamps, phase coverage across client/mds/osd/disk, the slow-request
-# log, and the span quantiles in the metrics registry.
+# sane timestamps, phase coverage across client/mds/osd/disk, the on-demand
+# allocator's state-machine instants, the slow-request log, and the span
+# quantiles in the metrics registry.
 #
 # When a fig7_macro binary is also passed, reruns it with --timeseries and
 # validates the flight-recorder counter tracks merged into the trace: named
@@ -57,6 +58,21 @@ for layer in ("client.", "mds.", "osd.", "disk."):
     require(any(n.startswith(layer) for n in names),
             f"no '{layer}*' phase in trace ({sorted(names)})")
 
+# The on-demand allocator's state machine shows up as thread-scoped instants
+# on the host clock, each naming the (inode, stream) it belongs to.
+alloc_instants = [e for e in events if e.get("ph") == "i" and
+                  e.get("name") in ("alloc.layout_miss",
+                                    "alloc.pre_alloc_layout")]
+require(alloc_instants, "no alloc.layout_miss / alloc.pre_alloc_layout "
+        "instant ('i') event")
+for e in alloc_instants:
+    require(e.get("pid") == 1, f"allocator instant off the host pid: {e}")
+    for key in ("s", "ts"):
+        require(key in e, f"allocator instant missing '{key}': {e}")
+    args = e.get("args", {})
+    for key in ("inode", "stream"):
+        require(key in args, f"allocator instant missing 'args.{key}': {e}")
+
 # Parent/child timestamps are causally sane per trace on the host clock:
 # children start no earlier than their parent.
 by_span = {e["args"]["span_id"]: e for e in spans if e["pid"] == 1}
@@ -101,7 +117,7 @@ for phase in ("span.disk.seek", "span.journal.commit", "span.client.write"):
         require(q in hist[phase], f"'{phase}' missing quantile '{q}'")
 
 print(f"check_trace_json: OK ({len(spans)} spans, {len(names)} phases, "
-      f"{len(slow)} slow traces)")
+      f"{len(alloc_instants)} allocator instants, {len(slow)} slow traces)")
 EOF
 
 # ---- flight-recorder counter tracks (fig7_macro --timeseries --trace) ------
@@ -150,7 +166,8 @@ meta_pids = {e["pid"] for e in events
 counter_pids = {pid for pid, _ in series}
 require(counter_pids <= meta_pids,
         f"unnamed timeline pids: {sorted(counter_pids - meta_pids)}")
-instants = [e for e in events if e.get("ph") == "i"]
+instants = [e for e in events
+            if e.get("ph") == "i" and e.get("cat") == "epoch"]
 require(instants, "no epoch instant ('i') events")
 require(any(e.get("name") == "end" for e in instants),
         "no 'end' epoch instant")

@@ -22,7 +22,7 @@
 
 #include "block/block_types.hpp"
 #include "block/free_space.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "util/result.hpp"
 #include "util/types.hpp"
 
@@ -79,11 +79,10 @@ class FileAllocator {
   block::FreeSpace& space() { return space_; }
   virtual AllocatorMode mode() const = 0;
 
-  /// Attach a trace sink for state-machine events (layout_miss,
-  /// pre_alloc_layout, demotion, lazy free).  nullptr (the default)
-  /// disables tracing; the write path then pays a single branch.
-  void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
-  obs::TraceBuffer* trace() const { return trace_; }
+  /// Attach a span collector for state-machine instants (alloc.layout_miss,
+  /// alloc.pre_alloc_layout, alloc.stream_demote, alloc.lazy_free).
+  /// nullptr (the default) detaches; the write path then pays one branch.
+  void set_spans(obs::SpanCollector* spans) { spans_ = spans; }
 
  protected:
   /// Strategy hook: map the currently-unmapped logical hole
@@ -100,10 +99,10 @@ class FileAllocator {
   /// or a per-inode home group when the file is empty.
   DiskBlock goal_for(InodeNo inode, const block::ExtentMap& map) const;
 
-  /// Record an event if a trace sink is attached.
-  void emit(obs::TraceEventType t, InodeNo inode, StreamId stream,
+  /// Record an instant if a span collector is attached.
+  void emit(std::string_view name, InodeNo inode, StreamId stream,
             u64 arg0 = 0, u64 arg1 = 0) {
-    if (trace_) trace_->record(t, inode, stream, arg0, arg1);
+    if (spans_) spans_->instant(name, inode, stream, arg0, arg1);
   }
 
   block::FreeSpace& space_;
@@ -111,7 +110,7 @@ class FileAllocator {
   // (allocate_near) that also account stats under it.
   mutable std::recursive_mutex mu_;
   AllocatorStats stats_;
-  obs::TraceBuffer* trace_{nullptr};
+  obs::SpanCollector* spans_{nullptr};
 };
 
 /// Factory used by the storage target.

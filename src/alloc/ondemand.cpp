@@ -157,15 +157,14 @@ Status OnDemandAllocator::allocate_fresh(const AllocContext& ctx,
     reserve_sequential(st, DiskBlock{st.current.disk.v + st.current.len},
                        FileBlock{st.current.file.v + st.current.len},
                        st.next_window_blocks);
-    emit(obs::TraceEventType::kPreAllocLayout, ctx.inode, ctx.stream,
-         st.current.len, st.sequential.len);
+    emit("alloc.pre_alloc_layout", ctx.inode, ctx.stream, st.current.len,
+         st.sequential.len);
     return {};
   }
 
   // --- layout_miss ----------------------------------------------------------
   ++stats_.layout_misses;
-  emit(obs::TraceEventType::kLayoutMiss, ctx.inode, ctx.stream, logical.v,
-       count);
+  emit("alloc.layout_miss", ctx.inode, ctx.stream, logical.v, count);
   if (!first_extend) {
     ++st.misses;
     if (st.prealloc_on && st.misses >= tuning_.miss_threshold) {
@@ -174,8 +173,8 @@ Status OnDemandAllocator::allocate_fresh(const AllocContext& ctx,
       ++stats_.prealloc_disabled;
       const u64 released = st.sequential.len;
       release_sequential(st);
-      emit(obs::TraceEventType::kStreamDemote, ctx.inode, ctx.stream,
-           st.misses, released);
+      emit("alloc.stream_demote", ctx.inode, ctx.stream, st.misses,
+           released);
     }
   }
 
@@ -210,7 +209,7 @@ void OnDemandAllocator::close_file(InodeNo inode, block::ExtentMap& map) {
       const u64 released = it->second.sequential.len;
       release_sequential(it->second);
       if (released > 0) {
-        emit(obs::TraceEventType::kLazyFree, inode,
+        emit("alloc.lazy_free", inode,
              StreamId{static_cast<u32>(it->first.stream >> 32),
                       static_cast<u32>(it->first.stream)},
              released);

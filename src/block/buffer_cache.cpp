@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "obs/span.hpp"
+
 namespace mif::block {
 
 BufferCache::BufferCache(sim::IoScheduler& io, u64 capacity_blocks)
@@ -33,9 +35,7 @@ void BufferCache::evict_one() {
   map_.erase(it);
   lru_.pop_back();
   ++stats_.evictions;
-  if (trace_) {
-    trace_->record(obs::TraceEventType::kCacheEvict, victim, dirty ? 1 : 0);
-  }
+  if (spans_) spans_->instant("cache.evict", victim, dirty ? 1 : 0);
 }
 
 void BufferCache::read(DiskBlock start, u64 len) {

@@ -10,9 +10,12 @@
 #include <list>
 #include <unordered_map>
 
-#include "obs/trace.hpp"
 #include "sim/io_scheduler.hpp"
 #include "util/types.hpp"
+
+namespace mif::obs {
+class SpanCollector;
+}
 
 namespace mif::block {
 
@@ -60,8 +63,9 @@ class BufferCache {
   void reset_stats() { stats_ = {}; }
   u64 resident_blocks() const { return map_.size(); }
 
-  /// Attach a trace sink for eviction events (nullptr disables).
-  void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
+  /// Attach a span collector: every eviction records a `cache.evict`
+  /// instant (nullptr detaches).
+  void set_spans(obs::SpanCollector* spans) { spans_ = spans; }
 
  private:
   struct Entry {
@@ -74,7 +78,7 @@ class BufferCache {
   void evict_one();
 
   sim::IoScheduler& io_;
-  obs::TraceBuffer* trace_{nullptr};
+  obs::SpanCollector* spans_{nullptr};
   u64 capacity_;
   std::list<u64> lru_;  // front = most recent
   std::unordered_map<u64, Entry> map_;

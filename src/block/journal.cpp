@@ -43,7 +43,6 @@ void Journal::commit() {
   io_.submit({sim::IoKind::kWrite, DiskBlock{area_start_.v + cursor_},
               std::min(blocks, area_blocks_)});
   cursor_ = std::min(cursor_ + blocks, area_blocks_);
-  if (trace_) trace_->record(obs::TraceEventType::kJournalCommit, blocks);
 }
 
 void Journal::checkpoint() {
@@ -51,7 +50,6 @@ void Journal::checkpoint() {
   if (uncommitted_blocks_ > 0) commit();
   if (pending_.empty()) return;
   obs::ScopedSpan span(spans_, "journal.checkpoint", pending_.size());
-  const u64 checkpoint_blocks_before = stats_.checkpoint_blocks;
   // Sort by home address and merge duplicates/adjacent runs so the write-back
   // pass is a single elevator sweep — mirroring jbd2 checkpoint behaviour.
   std::sort(pending_.begin(), pending_.end(),
@@ -72,10 +70,6 @@ void Journal::checkpoint() {
   }
   pending_.clear();
   ++stats_.checkpoints;
-  if (trace_) {
-    trace_->record(obs::TraceEventType::kJournalCheckpoint,
-                   stats_.checkpoint_blocks - checkpoint_blocks_before);
-  }
 }
 
 }  // namespace mif::block

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "block/block_types.hpp"
-#include "obs/trace.hpp"
 #include "sim/io_scheduler.hpp"
 #include "util/types.hpp"
 
@@ -66,16 +65,12 @@ class Journal {
     return uncommitted_blocks_ + pending;
   }
 
-  /// Attach a trace sink for commit/checkpoint events (nullptr disables).
-  void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
-
   /// Attach a span collector: commits and checkpoints then record
   /// `journal.commit` / `journal.checkpoint` phases (nullptr detaches).
   void set_spans(obs::SpanCollector* spans) { spans_ = spans; }
 
  private:
   sim::IoScheduler& io_;
-  obs::TraceBuffer* trace_{nullptr};
   obs::SpanCollector* spans_{nullptr};
   DiskBlock area_start_;
   u64 area_blocks_;

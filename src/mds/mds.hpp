@@ -93,9 +93,6 @@ class Mds {
   MdsStats snapshot() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  /// Attach a trace sink to the metadata stack (journal, cache).
-  void set_trace(obs::TraceBuffer* trace) { fs_.set_trace(trace); }
-
   /// Attach a span collector: namespace RPCs record `mds.*` phases and the
   /// metadata stack (journal, MDS disk) records its own (nullptr detaches).
   void set_spans(obs::SpanCollector* spans) {

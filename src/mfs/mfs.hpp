@@ -88,22 +88,17 @@ class Mfs {
   double elapsed_ms() const { return disk_.now_ms(); }
   void reset_io_stats();
 
-  /// Attach a trace sink for journal commit/checkpoint and cache eviction
-  /// events (nullptr detaches).
-  void set_trace(obs::TraceBuffer* trace) {
-    journal_->set_trace(trace);
-    cache_->set_trace(trace);
-  }
-
   /// Metadata disk's span track *lane* (data disks take lanes 0..N-1 in
   /// their own namespace; compare with obs::track_lane).
   static constexpr u32 kMdsDiskTrack = 255;
 
   /// Attach a span collector to the metadata stack: journal commits /
-  /// checkpoints plus the metadata disk's mechanical phases (nullptr
-  /// detaches).  Claims its own track namespace per attachment.
+  /// checkpoints, buffer-cache `cache.evict` instants and the metadata
+  /// disk's mechanical phases (nullptr detaches).  Claims its own track
+  /// namespace per attachment.
   void set_spans(obs::SpanCollector* spans) {
     journal_->set_spans(spans);
+    cache_->set_spans(spans);
     const u32 inst = spans ? spans->reserve_track_namespace() : 0;
     disk_.set_spans(spans, obs::make_track(inst, kMdsDiskTrack));
   }

@@ -1,9 +1,10 @@
 // One observability configuration for the whole obs layer.
 //
-// The allocator event ring (obs/trace.hpp) and the request-span buffer
-// (obs/span.hpp) used to carry their own scattered capacity constants; both
-// now size themselves from this struct, so a bench or test that wants a
-// bigger (or tiny) observability footprint changes one knob.
+// The span ring (obs/span.hpp) — which holds request phases and the
+// allocator / buffer-cache instant events alike — and the flight-recorder
+// timelines (obs/timeline.hpp) size themselves from this struct, so a bench
+// or test that wants a bigger (or tiny) observability footprint changes one
+// knob.
 #pragma once
 
 #include <cstddef>
@@ -12,9 +13,8 @@
 namespace mif::obs {
 
 struct Config {
-  /// TraceBuffer ring capacity (allocator/journal/cache event records).
-  std::size_t trace_capacity{4096};
-  /// SpanCollector ring capacity (completed span records kept for export).
+  /// SpanCollector ring capacity (completed spans and instant events kept
+  /// for export).
   std::size_t span_capacity{65536};
   /// Slow-request log size: the K slowest root spans retained with their
   /// full span trees (tail sampling).

@@ -84,6 +84,12 @@ void SpanCollector::begin_trace(u64 trace_id) {
   active_.emplace(trace_id, std::vector<SpanRecord>{});
 }
 
+void SpanCollector::add_to_trace(const SpanRecord& r) {
+  auto it = active_.find(r.trace_id);
+  if (it != active_.end() && it->second.size() < kMaxSpansPerTrace)
+    it->second.push_back(r);
+}
+
 void SpanCollector::finish_span(const SpanRecord& r, bool root) {
   std::lock_guard lock(mu_);
   push_ring(r);
@@ -107,10 +113,27 @@ void SpanCollector::finish_span(const SpanRecord& r, bool root) {
     tree.push_back(r);
     admit_slow(r.trace_id, r.name, r.dur_us, std::move(tree));
   } else {
-    auto it = active_.find(r.trace_id);
-    if (it != active_.end() && it->second.size() < kMaxSpansPerTrace)
-      it->second.push_back(r);
+    add_to_trace(r);
   }
+}
+
+void SpanCollector::record_instant(std::string_view name, u64 inode,
+                                   u64 stream, u64 arg0, u64 arg1) {
+  const SpanContext parent = ambient();
+  SpanRecord r;
+  r.trace_id = parent.trace_id;
+  r.span_id = next_span_id();
+  r.parent_id = parent.span_id;
+  r.name = name;
+  r.track = thread_lane();
+  r.start_us = now_us();
+  r.arg0 = arg0;
+  r.arg1 = arg1;
+  r.inode = inode;
+  r.stream = stream;
+  std::lock_guard lock(mu_);
+  push_ring(r);
+  add_to_trace(r);
 }
 
 void SpanCollector::record_sim(std::string_view name, u32 track,
@@ -271,6 +294,7 @@ Json chrome_trace_json(const SpanCollector& c) {
   std::vector<std::pair<u64, u32>> named_tracks;  // (pid, tid) already named
   for (const SpanRecord& s : c.spans()) {
     const u64 pid = s.clock == SpanClock::kHost ? 1 : 2;
+    const std::string_view cat = s.name.substr(0, s.name.find('.'));
     if (std::find(named_tracks.begin(), named_tracks.end(),
                   std::make_pair(pid, s.track)) == named_tracks.end()) {
       named_tracks.emplace_back(pid, s.track);
@@ -278,27 +302,39 @@ Json chrome_trace_json(const SpanCollector& c) {
       if (pid == 1) {
         label = "thread " + std::to_string(s.track);
       } else {
-        // Sim lanes: "<disk> (mount k)" — k counts set_spans attachments.
+        // Sim lanes: "<lane> (mount k)" — k counts set_spans attachments.
+        // Several layers record on sim lanes, so the first span recorded
+        // on a lane names it by its category.
         const u32 lane = track_lane(s.track);
-        label = (lane == 0xffu ? std::string("mds disk")
-                               : "disk " + std::to_string(lane)) +
-                " (mount " + std::to_string(track_instance(s.track)) + ")";
+        if (cat != "disk")
+          label = std::string(cat) + " lane " + std::to_string(lane);
+        else if (lane == 0xffu)
+          label = "mds disk";
+        else
+          label = "disk " + std::to_string(lane);
+        label += " (mount " + std::to_string(track_instance(s.track)) + ")";
       }
       meta("thread_name", pid, s.track, label);
     }
     Json e;
     e["name"] = s.name;
-    const std::string_view cat = s.name.substr(0, s.name.find('.'));
     e["cat"] = cat;
-    e["ph"] = "X";
+    e["ph"] = s.instant() ? "i" : "X";
     e["ts"] = s.start_us;
-    e["dur"] = s.dur_us;
+    if (s.instant())
+      e["s"] = "t";  // thread-scoped instant
+    else
+      e["dur"] = s.dur_us;
     e["pid"] = pid;
     e["tid"] = u64{s.track};
     Json args;
     args["trace_id"] = s.trace_id;
     args["span_id"] = s.span_id;
     args["parent_id"] = s.parent_id;
+    if (s.instant()) {
+      args["inode"] = s.inode;
+      args["stream"] = s.stream;
+    }
     args["arg0"] = s.arg0;
     args["arg1"] = s.arg1;
     e["args"] = std::move(args);

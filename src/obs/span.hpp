@@ -19,6 +19,20 @@
 //   journal.commit / journal.checkpoint
 //   disk.seek / disk.skip / disk.transfer
 //
+// Instant events
+// --------------
+// Point-in-time state transitions with no duration of their own — the
+// on-demand allocator's per-stream state machine (Fig. 3) and buffer-cache
+// evictions — are recorded with SpanCollector::instant():
+//
+//   alloc.layout_miss / alloc.pre_alloc_layout / alloc.stream_demote /
+//   alloc.lazy_free / cache.evict
+//
+// An instant is a host-clock SpanRecord with dur_us == 0, parented to the
+// innermost open span, so it lands in the same ring (and the same slow-log
+// tree) as the phase that triggered it.  It carries the (inode, stream) it
+// belongs to; phase statistics skip it.
+//
 // Two clocks
 // ----------
 // Software phases (client/mds/osd/alloc/journal) are timed with the host's
@@ -51,8 +65,8 @@
 // events, so contention is negligible and export needs no merge step.  The
 // ambient-parent stack is thread_local and needs no lock at all.
 //
-// Costs are bounded like TraceBuffer's: the ring overwrites its oldest
-// records once full (`dropped()` counts), an active trace keeps at most
+// Costs are bounded: the ring overwrites its oldest records once full
+// (`dropped()` counts), an active trace keeps at most
 // kMaxSpansPerTrace spans, and the slow log holds exactly `slow_k` traces.
 // With no collector attached every instrumentation point is one null check.
 #pragma once
@@ -98,9 +112,9 @@ constexpr u32 make_track(u32 instance, u32 lane) {
 constexpr u32 track_lane(u32 track) { return track & 0xffu; }
 constexpr u32 track_instance(u32 track) { return track >> 8; }
 
-/// One completed phase.  `name` must point at storage that outlives the
-/// collector — every call site passes a string literal from the phase
-/// taxonomy above.
+/// One completed phase, or one instant event.  `name` must point at storage
+/// that outlives the collector — every call site passes a string literal
+/// from the phase taxonomy above.
 struct SpanRecord {
   u64 trace_id{0};
   u64 span_id{0};
@@ -112,6 +126,12 @@ struct SpanRecord {
   double dur_us{0.0};
   u64 arg0{0};  // phase-specific (inode, blocks, target index, …)
   u64 arg1{0};
+  u64 inode{0};   // instants: 0 = not file-scoped
+  u64 stream{0};  // instants: StreamId::key(); 0 = not stream-scoped
+
+  /// Instant events are the zero-duration host-clock records (a ScopedSpan
+  /// is timed on the nanosecond steady clock, so its duration is positive).
+  bool instant() const { return clock == SpanClock::kHost && dur_us == 0.0; }
 };
 
 /// One retained slow trace: the root's identity plus its full span tree.
@@ -143,6 +163,24 @@ class SpanCollector {
   void record_sim(std::string_view name, u32 track, double start_ms,
                   double dur_ms, SpanContext ctx, u64 arg0 = 0, u64 arg1 = 0);
 
+  /// Record an instant event on the host clock, parented to `ambient()`.
+  /// It enters the ring like any span but adds no phase statistics.
+  /// `arg0`/`arg1` are event-specific:
+  ///   alloc.layout_miss       — logical block, write length (blocks)
+  ///   alloc.pre_alloc_layout  — promoted (new current) window length,
+  ///                             newly reserved sequential window length
+  ///   alloc.stream_demote     — misses seen, reservation blocks released
+  ///   alloc.lazy_free         — blocks released
+  ///   cache.evict             — victim disk block, 1 if a writeback was issued
+  void instant(std::string_view name, InodeNo inode, StreamId stream,
+               u64 arg0 = 0, u64 arg1 = 0) {
+    record_instant(name, inode.v, stream.key(), arg0, arg1);
+  }
+  /// An instant that belongs to no file or stream.
+  void instant(std::string_view name, u64 arg0 = 0, u64 arg1 = 0) {
+    record_instant(name, 0, 0, arg0, arg1);
+  }
+
   /// Claim a fresh sim-track instance (see make_track above).  Called once
   /// per set_spans attachment that owns disks.
   u32 reserve_track_namespace() {
@@ -161,7 +199,8 @@ class SpanCollector {
   /// The K slowest finished traces, slowest first.
   std::vector<SlowTrace> slow_traces() const;
 
-  /// Per-phase duration statistics (µs) accumulated over every span.
+  /// Per-phase duration statistics (µs) accumulated over every span
+  /// (instants excluded).
   struct PhaseStats {
     Histogram hist_ns{40};  // log2 ns buckets → ~µs..s span
     RunningStats us;
@@ -200,7 +239,11 @@ class SpanCollector {
   /// marks the span that opened its trace and triggers slow-log admission.
   void finish_span(const SpanRecord& r, bool root);
 
+  void record_instant(std::string_view name, u64 inode, u64 stream, u64 arg0,
+                      u64 arg1);
   void push_ring(const SpanRecord& r);
+  /// Append `r` to its trace's open span tree (caller holds mu_).
+  void add_to_trace(const SpanRecord& r);
   void admit_slow(u64 trace_id, std::string_view root_name, double dur_us,
                   std::vector<SpanRecord> spans);
 
@@ -256,7 +299,9 @@ class ScopedSpan {
 ///
 /// Host-clock spans appear under pid 1 ("mif host"), one tid lane per
 /// recording thread; sim-clock spans under pid 2 ("mif sim disks"), one tid
-/// per disk track.  Load the file at ui.perfetto.dev or chrome://tracing.
+/// per sim track, labelled by the layer that records on it.  Instants are
+/// thread-scoped `"ph": "i"` events on pid 1 whose args add `inode` and
+/// `stream`.  Load the file at ui.perfetto.dev or chrome://tracing.
 Json chrome_trace_json(const SpanCollector& c);
 
 /// chrome_trace_json() → file.  Returns false (and prints to stderr) when

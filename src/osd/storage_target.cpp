@@ -240,7 +240,7 @@ void StorageTarget::reset_contents() {
   space_ = std::make_unique<block::FreeSpace>(
       DiskBlock{0}, cfg_.geometry.capacity_blocks, cfg_.alloc_groups);
   alloc_ = alloc::make_allocator(cfg_.allocator, *space_, cfg_.tuning);
-  alloc_->set_trace(trace_);
+  alloc_->set_spans(spans_);
 }
 
 }  // namespace mif::osd

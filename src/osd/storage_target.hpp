@@ -112,19 +112,15 @@ class StorageTarget {
   VerifyReport verify() const;
 
   // --- observability -------------------------------------------------------
-  /// Attach a trace sink to the allocator state machine (nullptr detaches).
-  void set_trace(obs::TraceBuffer* trace) {
-    trace_ = trace;
-    alloc_->set_trace(trace);
-  }
-
-  /// Attach a span collector: allocator decisions record `alloc.decide` and
-  /// the data disk records `disk.*` on span track `track` (nullptr
-  /// detaches).  The scheduler's aggregated `io.queue_wait` spans get their
-  /// own lane (track + 64) so their cumulative wait clock never interleaves
-  /// with the disk's real timeline on one viewer lane.
+  /// Attach a span collector: allocator decisions record `alloc.decide`
+  /// (plus the allocator's state-machine instants), and the data disk
+  /// records `disk.*` on span track `track` (nullptr detaches).  The
+  /// scheduler's aggregated `io.queue_wait` spans get their own lane
+  /// (track + 64) so their cumulative wait clock never interleaves with the
+  /// disk's real timeline on one viewer lane.
   void set_spans(obs::SpanCollector* spans, u32 track) {
     spans_ = spans;
+    alloc_->set_spans(spans);
     disk_.set_spans(spans, track);
     io_.set_spans(spans, track + 64);
   }
@@ -182,7 +178,6 @@ class StorageTarget {
 
   TargetConfig cfg_;
   obs::SpanCollector* spans_{nullptr};
-  obs::TraceBuffer* trace_{nullptr};
   sim::Disk disk_;
   /// The scheduler (and the disk behind it) is single-threaded state; all
   /// submissions and drains serialise here.

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc/ondemand.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 
 namespace mif::alloc {
 namespace {
@@ -177,13 +177,26 @@ TEST_F(OnDemandFixture, WritesIntoPromotedWindowBypassAllocator) {
   EXPECT_EQ(alloc.stats().prealloc_promotions, promos);
 }
 
-// --- state-machine tracing (obs::TraceBuffer) -------------------------------
+// --- state-machine instants (obs::SpanCollector) ---------------------------
 
-using obs::TraceEventType;
+/// One (inode, stream)'s records, oldest first.
+std::vector<obs::SpanRecord> stream_events(const obs::SpanCollector& c,
+                                           InodeNo ino, StreamId sid) {
+  std::vector<obs::SpanRecord> out;
+  for (const obs::SpanRecord& r : c.spans())
+    if (r.inode == ino.v && r.stream == sid.key()) out.push_back(r);
+  return out;
+}
 
-TEST_F(OnDemandFixture, TraceRecordsExactTransitionSequence) {
-  obs::TraceBuffer trace(64);
-  alloc.set_trace(&trace);
+obs::Config ring_of(std::size_t capacity) {
+  obs::Config cfg;
+  cfg.span_capacity = capacity;
+  return cfg;
+}
+
+TEST_F(OnDemandFixture, InstantsRecordExactTransitionSequence) {
+  obs::SpanCollector spans(ring_of(64));
+  alloc.set_spans(&spans);
 
   // Fig. 3 walked with default tuning (scale=2, miss_threshold=4):
   ASSERT_TRUE(write(1, 0).ok());     // miss: seed seq window [1,3)
@@ -196,96 +209,87 @@ TEST_F(OnDemandFixture, TraceRecordsExactTransitionSequence) {
   ASSERT_TRUE(write(1, 4000).ok());  // miss 4 → demote
 
   const struct {
-    TraceEventType type;
+    std::string_view name;
+    u64 arg0, arg1;
   } expected[] = {
-      {TraceEventType::kLayoutMiss},      {TraceEventType::kPreAllocLayout},
-      {TraceEventType::kPreAllocLayout},  {TraceEventType::kLayoutMiss},
-      {TraceEventType::kLayoutMiss},      {TraceEventType::kLayoutMiss},
-      {TraceEventType::kLayoutMiss},      {TraceEventType::kStreamDemote},
+      {"alloc.layout_miss", 0, 1},      {"alloc.pre_alloc_layout", 2, 4},
+      {"alloc.pre_alloc_layout", 4, 8}, {"alloc.layout_miss", 1000, 1},
+      {"alloc.layout_miss", 2000, 1},   {"alloc.layout_miss", 3000, 1},
+      {"alloc.layout_miss", 4000, 1},   {"alloc.stream_demote", 4, 2},
   };
-  const auto evs = trace.events();
+  // Nothing but the allocator records into this collector.
+  const auto evs = spans.spans();
   ASSERT_EQ(evs.size(), std::size(expected));
   for (std::size_t i = 0; i < evs.size(); ++i) {
-    EXPECT_EQ(evs[i].type, expected[i].type) << "event " << i;
+    EXPECT_TRUE(evs[i].instant()) << "event " << i;
+    EXPECT_EQ(evs[i].name, expected[i].name) << "event " << i;
     EXPECT_EQ(evs[i].inode, 1u) << "event " << i;
     EXPECT_EQ(evs[i].stream, (StreamId{1, 0}).key()) << "event " << i;
+    // Layout-miss args: (logical block, length); promotion args: (promoted
+    // current window, newly reserved seq window); demotion: (misses,
+    // the 2-block window the third miss re-seeded, now released).
+    EXPECT_EQ(evs[i].arg0, expected[i].arg0) << "event " << i;
+    EXPECT_EQ(evs[i].arg1, expected[i].arg1) << "event " << i;
   }
-  // Promotion args: (promoted current window, newly reserved seq window).
-  EXPECT_EQ(evs[1].arg0, 2u);
-  EXPECT_EQ(evs[1].arg1, 4u);
-  EXPECT_EQ(evs[2].arg0, 4u);
-  EXPECT_EQ(evs[2].arg1, 8u);
   // The demotion records the miss count that crossed the threshold.
   EXPECT_EQ(evs[7].arg0, tuning.miss_threshold);
 }
 
-TEST_F(OnDemandFixture, TraceLazyFreeOnClose) {
-  obs::TraceBuffer trace(64);
-  alloc.set_trace(&trace);
+TEST_F(OnDemandFixture, InstantLazyFreeOnClose) {
+  obs::SpanCollector spans(ring_of(64));
+  alloc.set_spans(&spans);
   for (u64 b = 0; b < 4; ++b) ASSERT_TRUE(write(1, b).ok());
   ASSERT_GT(alloc.stats().reserved_blocks, 0u);
   alloc.close_file(InodeNo{1}, map);
-  const auto evs = trace.events();
+  const auto evs = spans.spans();
   ASSERT_FALSE(evs.empty());
-  EXPECT_EQ(evs.back().type, TraceEventType::kLazyFree);
+  EXPECT_EQ(evs.back().name, "alloc.lazy_free");
   EXPECT_GT(evs.back().arg0, 0u);  // blocks returned to free space
+  EXPECT_EQ(evs.back().inode, 1u);
   EXPECT_EQ(evs.back().stream, (StreamId{1, 0}).key());
 }
 
-TEST_F(OnDemandFixture, TraceMultiStreamSharedFileWithFiltering) {
-  // Scripted shared-file write: three streams interleave on inode 1.  The
-  // record-side filter keeps only stream 1; the read-side filter then checks
-  // per-stream isolation on an unfiltered buffer.
-  obs::TraceBuffer filtered(64);
-  alloc.set_trace(&filtered);
-  filtered.set_filter(InodeNo{1}, StreamId{1, 0});
+TEST_F(OnDemandFixture, InstantsIsolateStreamsOfASharedFile) {
+  // Scripted shared-file write: three streams interleave on inode 1.
+  // Filtering the one ring on (inode, stream) shows every stream running
+  // the identical miss → promote ramp, untouched by its neighbours.
+  obs::SpanCollector spans(ring_of(256));
+  alloc.set_spans(&spans);
   const u64 per_stream = 16;
   for (u64 r = 0; r < per_stream; ++r)
     for (u32 p = 0; p < 3; ++p)
       ASSERT_TRUE(write(p, static_cast<u64>(p) * per_stream + r).ok());
-  for (const auto& ev : filtered.events())
-    EXPECT_EQ(ev.stream, (StreamId{1, 0}).key());
-  EXPECT_GT(filtered.size(), 0u);
-  EXPECT_GT(filtered.filtered(), 0u);  // other streams were rejected
-
-  // Same workload against a fresh allocator, unfiltered: every stream shows
-  // the identical miss→promote ramp.
-  OnDemandAllocator a2(space, tuning);
-  block::ExtentMap m2;
-  obs::TraceBuffer all(256);
-  a2.set_trace(&all);
-  for (u64 r = 0; r < per_stream; ++r)
-    for (u32 p = 0; p < 3; ++p)
-      ASSERT_TRUE(a2.extend({InodeNo{1}, StreamId{p, 0},
-                             FileBlock{static_cast<u64>(p) * per_stream + r},
-                             1},
-                            m2)
-                      .ok());
+  ASSERT_EQ(spans.dropped(), 0u);
+  std::size_t seen = 0;
   for (u32 p = 0; p < 3; ++p) {
-    const auto evs = all.events(InodeNo{1}, StreamId{p, 0});
+    const auto evs = stream_events(spans, InodeNo{1}, StreamId{p, 0});
     ASSERT_GE(evs.size(), 3u) << "stream " << p;
-    EXPECT_EQ(evs[0].type, TraceEventType::kLayoutMiss);
-    EXPECT_EQ(evs[1].type, TraceEventType::kPreAllocLayout);
+    seen += evs.size();
+    EXPECT_EQ(evs[0].name, "alloc.layout_miss");
+    EXPECT_EQ(evs[1].name, "alloc.pre_alloc_layout");
     for (std::size_t i = 1; i < evs.size(); ++i)
-      EXPECT_EQ(evs[i].type, TraceEventType::kPreAllocLayout)
+      EXPECT_EQ(evs[i].name, "alloc.pre_alloc_layout")
           << "stream " << p << " event " << i;
   }
+  // The three per-stream views partition the ring.
+  EXPECT_EQ(seen, spans.size());
+  EXPECT_TRUE(stream_events(spans, InodeNo{2}, StreamId{1, 0}).empty());
 }
 
-TEST_F(OnDemandFixture, TraceRingStaysBounded) {
-  obs::TraceBuffer trace(8);
-  alloc.set_trace(&trace);
+TEST_F(OnDemandFixture, InstantRingStaysBounded) {
+  obs::SpanCollector spans(ring_of(8));
+  alloc.set_spans(&spans);
   for (u64 b = 0; b < 400; ++b) ASSERT_TRUE(write(1, b).ok());
-  EXPECT_LE(trace.size(), 8u);
+  EXPECT_LE(spans.size(), 8u);
   // Every miss and promotion was recorded; whatever the ring could not
   // retain is accounted for as dropped.
   EXPECT_EQ(alloc.stats().prealloc_promotions + alloc.stats().layout_misses,
-            trace.dropped() + trace.size());
-  EXPECT_GT(trace.dropped(), 0u);
-  // What remains is the chronological tail with contiguous sequence numbers.
-  const auto evs = trace.events();
+            spans.dropped() + spans.size());
+  EXPECT_GT(spans.dropped(), 0u);
+  // What remains is the chronological tail with contiguous span ids.
+  const auto evs = spans.spans();
   for (std::size_t i = 1; i < evs.size(); ++i)
-    EXPECT_EQ(evs[i].seq, evs[i - 1].seq + 1);
+    EXPECT_EQ(evs[i].span_id, evs[i - 1].span_id + 1);
 }
 
 }  // namespace

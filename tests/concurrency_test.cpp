@@ -178,13 +178,17 @@ TEST(SpanCollectorConcurrency, ParallelClientsOnOneFilesystem) {
   cfg.num_targets = 4;
   cfg.target.allocator = alloc::AllocatorMode::kOnDemand;
   core::ParallelFileSystem fs(cfg);
-  obs::SpanCollector spans;
-  fs.set_spans(&spans);
-
   constexpr int kThreads = 4;
   // Below the 64-write layout-report threshold, so threaded writes never
   // call into the (unlocked) MDS.
   constexpr u64 kWrites = 63;
+  // Far more room than the run records, so the ring never wraps and every
+  // allocator instant stays countable.
+  obs::Config ocfg;
+  ocfg.span_capacity = 1 << 16;
+  obs::SpanCollector spans(ocfg);
+  fs.set_spans(&spans);
+
   std::vector<client::ClientFs> clients;
   std::vector<client::FileHandle> fhs;
   for (int t = 0; t < kThreads; ++t) {
@@ -216,6 +220,21 @@ TEST(SpanCollectorConcurrency, ParallelClientsOnOneFilesystem) {
   ASSERT_TRUE(stats.count("alloc.decide"));
   EXPECT_EQ(spans.slow_traces().size(),
             std::min<std::size_t>(obs::Config{}.slow_k, kThreads * kWrites));
+
+  // Conservation: every miss and promotion the allocators counted under
+  // contention is exactly one instant in the shared ring.
+  ASSERT_EQ(spans.dropped(), 0u);
+  u64 instants = 0;
+  for (const obs::SpanRecord& s : spans.spans())
+    if (s.name == "alloc.layout_miss" || s.name == "alloc.pre_alloc_layout")
+      ++instants;
+  u64 counted = 0;
+  for (std::size_t i = 0; i < fs.num_targets(); ++i) {
+    const alloc::AllocatorStats a = fs.target(i).allocator().stats();
+    counted += a.layout_misses + a.prealloc_promotions;
+  }
+  EXPECT_GT(counted, 0u);
+  EXPECT_EQ(instants, counted);
 }
 
 TEST(StorageTargetConcurrency, MixedReadWriteDeleteSurvives) {

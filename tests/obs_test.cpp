@@ -1,6 +1,6 @@
 // Unit tests for the observability layer: metrics registry registration and
-// lookup, histogram quantiles, JSON round-trip, trace-ring wraparound and
-// per-stream filtering, and the publish() mapping of subsystem stats.
+// lookup, histogram quantiles, JSON round-trip, and the publish() mapping of
+// subsystem stats.  The span/instant ring is covered by span_test.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,7 +8,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
 
 namespace mif::obs {
 namespace {
@@ -156,102 +155,6 @@ TEST(Json, AtOnMissingKeyReturnsNull) {
   EXPECT_TRUE(doc.at("missing").is_null());
   EXPECT_FALSE(doc.contains("missing"));
   EXPECT_TRUE(doc.contains("a"));
-}
-
-// --- TraceBuffer ------------------------------------------------------------
-
-TEST(TraceBuffer, RecordsInOrder) {
-  TraceBuffer t(16);
-  t.record(TraceEventType::kLayoutMiss, InodeNo{1}, StreamId{1, 0}, 0, 1);
-  t.record(TraceEventType::kPreAllocLayout, InodeNo{1}, StreamId{1, 0}, 2, 4);
-  t.record(TraceEventType::kJournalCommit, 3, 0);
-  const auto evs = t.events();
-  ASSERT_EQ(evs.size(), 3u);
-  EXPECT_EQ(evs[0].type, TraceEventType::kLayoutMiss);
-  EXPECT_EQ(evs[1].type, TraceEventType::kPreAllocLayout);
-  EXPECT_EQ(evs[1].arg0, 2u);
-  EXPECT_EQ(evs[1].arg1, 4u);
-  EXPECT_EQ(evs[2].inode, 0u);  // subsystem event: not file-scoped
-  EXPECT_LT(evs[0].seq, evs[1].seq);
-  EXPECT_LT(evs[1].seq, evs[2].seq);
-  EXPECT_EQ(t.dropped(), 0u);
-}
-
-TEST(TraceBuffer, RingWrapsAndKeepsNewest) {
-  TraceBuffer t(4);
-  for (u64 i = 0; i < 10; ++i)
-    t.record(TraceEventType::kLazyFree, InodeNo{1}, StreamId{1, 0}, i);
-  EXPECT_EQ(t.size(), 4u);
-  EXPECT_EQ(t.capacity(), 4u);
-  EXPECT_EQ(t.dropped(), 6u);
-  const auto evs = t.events();
-  ASSERT_EQ(evs.size(), 4u);
-  // Chronological tail: args 6..9, seq still globally increasing.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(evs[i].arg0, 6u + i);
-    EXPECT_EQ(evs[i].seq, 6u + i);
-  }
-}
-
-TEST(TraceBuffer, RecordSideFilterRejectsOtherStreams) {
-  TraceBuffer t(16);
-  t.set_filter(InodeNo{1}, StreamId{2, 0});
-  t.record(TraceEventType::kLayoutMiss, InodeNo{1}, StreamId{2, 0});
-  t.record(TraceEventType::kLayoutMiss, InodeNo{1}, StreamId{3, 0});  // other
-  t.record(TraceEventType::kLayoutMiss, InodeNo{9}, StreamId{2, 0});  // other
-  t.record(TraceEventType::kJournalCommit, 1, 0);  // not stream-scoped
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.filtered(), 3u);
-  t.clear_filter();
-  t.record(TraceEventType::kLayoutMiss, InodeNo{9}, StreamId{2, 0});
-  EXPECT_EQ(t.size(), 2u);
-}
-
-TEST(TraceBuffer, ReadSideFilterSelectsOneStream) {
-  TraceBuffer t(16);
-  for (u32 s = 0; s < 3; ++s)
-    for (u64 i = 0; i < 2; ++i)
-      t.record(TraceEventType::kLayoutMiss, InodeNo{1}, StreamId{s, 0}, i);
-  const auto one = t.events(InodeNo{1}, StreamId{1, 0});
-  ASSERT_EQ(one.size(), 2u);
-  for (const auto& ev : one)
-    EXPECT_EQ(ev.stream, (StreamId{1, 0}).key());
-  EXPECT_TRUE(t.events(InodeNo{2}, StreamId{1, 0}).empty());
-}
-
-TEST(TraceBuffer, DumpNamesEveryEventType) {
-  TraceBuffer t(16);
-  t.record(TraceEventType::kLayoutMiss, InodeNo{1}, StreamId{1, 0}, 0, 1);
-  t.record(TraceEventType::kStreamDemote, InodeNo{1}, StreamId{1, 0}, 4, 8);
-  t.record(TraceEventType::kCacheEvict, 77, 1);
-  const std::string text = t.dump();
-  EXPECT_NE(text.find("layout_miss"), std::string::npos);
-  EXPECT_NE(text.find("stream_demote"), std::string::npos);
-  EXPECT_NE(text.find("cache_evict"), std::string::npos);
-}
-
-TEST(TraceBuffer, JsonExportRoundTrips) {
-  TraceBuffer t(8);
-  t.record(TraceEventType::kPreAllocLayout, InodeNo{5}, StreamId{2, 0}, 2, 4);
-  const auto parsed = Json::parse(t.to_json().dump());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->at("capacity").as_u64(), 8u);
-  const auto& evs = parsed->at("events").as_array();
-  ASSERT_EQ(evs.size(), 1u);
-  EXPECT_EQ(evs[0].at("type").as_string(), "pre_alloc_layout");
-  EXPECT_EQ(evs[0].at("inode").as_u64(), 5u);
-  EXPECT_EQ(evs[0].at("arg1").as_u64(), 4u);
-}
-
-TEST(TraceBuffer, ClearDropsRecordsKeepsCapacity) {
-  TraceBuffer t(4);
-  for (int i = 0; i < 6; ++i) t.record(TraceEventType::kLazyFree, 1, 0);
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.dropped(), 0u);
-  EXPECT_EQ(t.capacity(), 4u);
-  t.record(TraceEventType::kLazyFree, 9, 0);
-  EXPECT_EQ(t.events().back().arg0, 9u);
 }
 
 // --- publish() mapping ------------------------------------------------------

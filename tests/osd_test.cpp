@@ -1,6 +1,7 @@
 // Unit tests for striping math and the storage target data path.
 #include <gtest/gtest.h>
 
+#include "obs/span.hpp"
 #include "osd/storage_target.hpp"
 #include "osd/striping.hpp"
 
@@ -114,6 +115,26 @@ TEST_F(TargetFixture, ExtentsSnapshotMatchesCount) {
   ASSERT_TRUE(t.write(InodeNo{1}, StreamId{1, 0}, FileBlock{0}, 16).ok());
   ASSERT_TRUE(t.write(InodeNo{1}, StreamId{2, 0}, FileBlock{100}, 16).ok());
   EXPECT_EQ(t.extents(InodeNo{1}).size(), t.extent_count(InodeNo{1}));
+}
+
+TEST_F(TargetFixture, SpansSurviveReformat) {
+  // A reformat rebuilds the allocator; the attached collector must follow
+  // it, or the replacement spindle's state machine goes dark.
+  obs::SpanCollector spans;
+  t.set_spans(&spans, obs::make_track(0, 0));
+  auto misses = [&] {
+    u64 n = 0;
+    for (const obs::SpanRecord& r : spans.spans())
+      if (r.name == "alloc.layout_miss") ++n;
+    return n;
+  };
+  ASSERT_TRUE(t.write(InodeNo{1}, StreamId{1, 0}, FileBlock{0}, 4).ok());
+  const u64 before = misses();
+  ASSERT_GT(before, 0u);
+  t.reset_contents();
+  ASSERT_TRUE(t.write(InodeNo{1}, StreamId{1, 0}, FileBlock{0}, 4).ok());
+  EXPECT_GT(misses(), before);
+  EXPECT_EQ(misses(), before + t.allocator().stats().layout_misses);
 }
 
 }  // namespace

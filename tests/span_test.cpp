@@ -1,9 +1,10 @@
 // Tests for the end-to-end span tracer: nesting/causality, trace-id
 // propagation through the full client → MDS → OSD → disk stack, slow-log
-// retention, metrics export and the Chrome-trace JSON shape.
+// retention, metrics export, instant events and the Chrome-trace JSON shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,7 +12,6 @@
 #include "core/pfs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace mif::obs {
 namespace {
@@ -222,6 +222,8 @@ TEST(Span, PropagatesThroughFullStack) {
   EXPECT_TRUE(create_phases.count("mds.create"));
   EXPECT_TRUE(write_phases.count("osd.stripe_unit"));
   EXPECT_TRUE(write_phases.count("alloc.decide"));
+  // A fresh file's first write re-seeds a window on every target it hits.
+  EXPECT_TRUE(write_phases.count("alloc.layout_miss"));
 
   // Detach: no further spans are recorded.
   fs.set_spans(nullptr);
@@ -306,14 +308,199 @@ TEST(Span, ClearDropsDataKeepsIdentity) {
   EXPECT_GT(span.context().trace_id, first_trace);  // ids keep counting
 }
 
-TEST(Span, SharedObsConfigSizesTraceBufferAndSpanRing) {
+TEST(Span, SharedObsConfigSizesSpanRing) {
   Config cfg;
-  cfg.trace_capacity = 32;
   cfg.span_capacity = 16;
-  TraceBuffer trace(cfg);
   SpanCollector spans(cfg);
-  EXPECT_EQ(trace.capacity(), 32u);
   EXPECT_EQ(spans.capacity(), 16u);
+}
+
+// --- instants ---------------------------------------------------------------
+
+TEST(Span, InstantsRecordInOrder) {
+  SpanCollector c;
+  c.instant("alloc.layout_miss", InodeNo{1}, StreamId{1, 0}, 0, 1);
+  c.instant("alloc.pre_alloc_layout", InodeNo{1}, StreamId{1, 0}, 2, 4);
+  c.instant("cache.evict", 3, 1);
+  const auto evs = c.spans();
+  ASSERT_EQ(evs.size(), 3u);
+  EXPECT_EQ(evs[0].name, "alloc.layout_miss");
+  EXPECT_EQ(evs[1].name, "alloc.pre_alloc_layout");
+  EXPECT_EQ(evs[1].inode, 1u);
+  EXPECT_EQ(evs[1].stream, (StreamId{1, 0}).key());
+  EXPECT_EQ(evs[1].arg0, 2u);
+  EXPECT_EQ(evs[1].arg1, 4u);
+  EXPECT_EQ(evs[2].inode, 0u);  // subsystem event: not file-scoped
+  EXPECT_EQ(evs[2].stream, 0u);
+  EXPECT_EQ(evs[2].arg0, 3u);
+  for (const SpanRecord& r : evs) {
+    EXPECT_TRUE(r.instant());
+    EXPECT_EQ(r.clock, SpanClock::kHost);
+    EXPECT_EQ(r.dur_us, 0.0);
+    EXPECT_EQ(r.trace_id, 0u);  // no span open: belongs to no trace
+  }
+  EXPECT_LT(evs[0].span_id, evs[1].span_id);
+  EXPECT_LT(evs[1].span_id, evs[2].span_id);
+  EXPECT_LE(evs[0].start_us, evs[2].start_us);
+  EXPECT_EQ(c.total_spans(), 3u);
+  EXPECT_EQ(c.dropped(), 0u);
+}
+
+TEST(Span, InstantRingWrapsAndKeepsNewest) {
+  Config cfg;
+  cfg.span_capacity = 4;
+  SpanCollector c(cfg);
+  for (u64 i = 0; i < 10; ++i)
+    c.instant("alloc.lazy_free", InodeNo{1}, StreamId{1, 0}, i);
+  EXPECT_EQ(c.size(), 4u);
+  EXPECT_EQ(c.capacity(), 4u);
+  EXPECT_EQ(c.total_spans(), 10u);
+  EXPECT_EQ(c.dropped(), 6u);
+  const auto evs = c.spans();
+  ASSERT_EQ(evs.size(), 4u);
+  // Chronological tail: args 6..9, span ids still contiguous.
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(evs[i].arg0, 6u + i);
+  for (std::size_t i = 1; i < 4; ++i)
+    EXPECT_EQ(evs[i].span_id, evs[i - 1].span_id + 1);
+}
+
+TEST(Span, InstantsSelectOneStreamByInodeAndStream) {
+  SpanCollector c;
+  for (u32 s = 0; s < 3; ++s)
+    for (u64 i = 0; i < 2; ++i)
+      c.instant("alloc.layout_miss", InodeNo{1}, StreamId{s, 0}, i);
+  auto select = [&](InodeNo ino, StreamId sid) {
+    std::vector<SpanRecord> out;
+    for (const SpanRecord& r : c.spans())
+      if (r.inode == ino.v && r.stream == sid.key()) out.push_back(r);
+    return out;
+  };
+  const auto one = select(InodeNo{1}, StreamId{1, 0});
+  ASSERT_EQ(one.size(), 2u);
+  EXPECT_EQ(one[0].arg0, 0u);
+  EXPECT_EQ(one[1].arg0, 1u);
+  EXPECT_TRUE(select(InodeNo{2}, StreamId{1, 0}).empty());
+}
+
+TEST(Span, ClearDropsInstantsKeepsCapacity) {
+  Config cfg;
+  cfg.span_capacity = 4;
+  SpanCollector c(cfg);
+  for (int i = 0; i < 6; ++i) c.instant("cache.evict", 1, 0);
+  c.clear();
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(c.dropped(), 0u);
+  EXPECT_EQ(c.capacity(), 4u);
+  c.instant("cache.evict", 9, 0);
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.spans().back().arg0, 9u);
+}
+
+TEST(Span, InstantChromeJsonRoundTrips) {
+  SpanCollector c;
+  {
+    ScopedSpan root(&c, "client.write");
+    c.instant("alloc.pre_alloc_layout", InodeNo{5}, StreamId{2, 0}, 2, 4);
+  }
+  const auto parsed = Json::parse(chrome_trace_json(c).dump());
+  ASSERT_TRUE(parsed.has_value());
+  std::size_t instants = 0, complete = 0;
+  for (const Json& e : parsed->at("traceEvents").as_array()) {
+    const std::string& ph = e.at("ph").as_string();
+    if (ph == "X") {
+      ++complete;
+      EXPECT_FALSE(e.at("args").contains("inode"));  // spans keep their args
+      continue;
+    }
+    if (ph != "i") continue;
+    ++instants;
+    EXPECT_EQ(e.at("name").as_string(), "alloc.pre_alloc_layout");
+    EXPECT_EQ(e.at("cat").as_string(), "alloc");
+    EXPECT_EQ(e.at("s").as_string(), "t");
+    EXPECT_EQ(e.at("pid").as_u64(), 1u);
+    EXPECT_GE(e.at("ts").as_double(), 0.0);
+    EXPECT_FALSE(e.contains("dur"));
+    const Json& args = e.at("args");
+    EXPECT_EQ(args.at("inode").as_u64(), 5u);
+    EXPECT_EQ(args.at("stream").as_u64(), (StreamId{2, 0}).key());
+    EXPECT_EQ(args.at("arg0").as_u64(), 2u);
+    EXPECT_EQ(args.at("arg1").as_u64(), 4u);
+    EXPECT_NE(args.at("parent_id").as_u64(), 0u);
+  }
+  EXPECT_EQ(instants, 1u);
+  EXPECT_EQ(complete, 1u);
+}
+
+TEST(Span, InstantInsideRootJoinsItsSlowTrace) {
+  Config cfg;
+  cfg.slow_k = 1;
+  SpanCollector c(cfg);
+  u64 root_span = 0;
+  {
+    ScopedSpan root(&c, "client.write");
+    root_span = root.context().span_id;
+    ScopedSpan child(&c, "alloc.decide");
+    c.instant("alloc.layout_miss", InodeNo{3}, StreamId{1, 0}, 0, 4);
+  }
+  const auto slow = c.slow_traces();
+  ASSERT_EQ(slow.size(), 1u);
+  const SpanRecord* miss = nullptr;
+  const SpanRecord* decide = nullptr;
+  for (const SpanRecord& s : slow[0].spans) {
+    if (s.name == "alloc.layout_miss") miss = &s;
+    if (s.name == "alloc.decide") decide = &s;
+  }
+  ASSERT_NE(miss, nullptr);
+  ASSERT_NE(decide, nullptr);
+  EXPECT_EQ(miss->trace_id, slow[0].trace_id);
+  EXPECT_EQ(miss->parent_id, decide->span_id);  // innermost open span
+  EXPECT_EQ(decide->parent_id, root_span);
+  EXPECT_EQ(miss->inode, 3u);
+}
+
+TEST(Span, InstantsAddNoPhaseHistogram) {
+  SpanCollector c;
+  {
+    ScopedSpan span(&c, "client.write");
+    c.instant("alloc.layout_miss", InodeNo{1}, StreamId{1, 0});
+  }
+  c.instant("cache.evict", 7, 1);
+  EXPECT_EQ(c.total_spans(), 3u);
+  const auto stats = c.phase_stats();
+  EXPECT_TRUE(stats.count("client.write"));
+  EXPECT_FALSE(stats.count("alloc.layout_miss"));
+  EXPECT_FALSE(stats.count("cache.evict"));
+
+  MetricsRegistry reg;
+  c.export_metrics(reg);
+  const Json j = reg.to_json();
+  const auto& histo = j.at("histograms").as_object();
+  EXPECT_TRUE(histo.count("span.client.write"));
+  for (const auto& [name, h] : histo)
+    EXPECT_TRUE(name == "span.client.write") << name;
+  EXPECT_FALSE(j.at("stats").contains("span.alloc.layout_miss.us"));
+  // The ring still counts them.
+  EXPECT_EQ(j.at("counters").at("span.total").as_u64(), 3u);
+}
+
+TEST(Span, ChromeTraceLabelsSimLanesByLayer) {
+  SpanCollector c;
+  // Lane 255 of one mount is the async pipeline's stall lane, not a disk;
+  // lane 0 is a data disk; lane 255 of another mount is the MDS disk.
+  c.record_sim("rpc.stall", make_track(1, 255), 0.0, 1.0, SpanContext{});
+  c.record_sim("disk.seek", make_track(1, 0), 0.0, 1.0, SpanContext{});
+  c.record_sim("disk.transfer", make_track(2, 255), 0.0, 1.0, SpanContext{});
+  const Json doc = chrome_trace_json(c);
+  std::map<u64, std::string> lanes;
+  for (const Json& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() == "M" &&
+        e.at("name").as_string() == "thread_name" && e.at("pid").as_u64() == 2)
+      lanes[e.at("tid").as_u64()] = e.at("args").at("name").as_string();
+  }
+  ASSERT_EQ(lanes.size(), 3u);
+  EXPECT_EQ(lanes[make_track(1, 255)], "rpc lane 255 (mount 1)");
+  EXPECT_EQ(lanes[make_track(1, 0)], "disk 0 (mount 1)");
+  EXPECT_EQ(lanes[make_track(2, 255)], "mds disk (mount 2)");
 }
 
 }  // namespace
