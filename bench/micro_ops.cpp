@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "alloc/allocator.hpp"
@@ -39,6 +40,74 @@ void BM_BitmapFindRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitmapFindRun);
+
+// A 1 Mi-block bitmap 0.26 % used in short runs scattered at random, the
+// state of smallfile_churn's data targets: every free run is far longer
+// than a request, so a probe that measured whole runs walked to the next
+// used bit.
+block::Bitmap mostly_free_bitmap() {
+  constexpr u64 kBlocks = u64{1} << 20;
+  block::Bitmap bm(kBlocks);
+  Rng rng(5);
+  while (bm.used_blocks() < kBlocks * 26 / 10000) {
+    const u64 start = rng.uniform(0, kBlocks - 4);
+    const u64 len = rng.uniform(1, 4);
+    if (bm.range_free(start, len)) bm.set_range(start, len);
+  }
+  return bm;
+}
+
+// len / want_len come from the benchmark argument, so the probe bound is
+// run-time data as in the allocators.
+void BM_BitmapFindRunMostlyFree(benchmark::State& state) {
+  const block::Bitmap bm = mostly_free_bitmap();
+  const u64 len = static_cast<u64>(state.range(0));
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bm.find_run(rng.uniform(0, bm.size() - 1), len));
+  }
+}
+BENCHMARK(BM_BitmapFindRunMostlyFree)->Arg(4)->Arg(64)->Arg(1024);
+
+void BM_BitmapFindRunBestMostlyFree(benchmark::State& state) {
+  const block::Bitmap bm = mostly_free_bitmap();
+  const u64 want_len = static_cast<u64>(state.range(0));
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        bm.find_run_best(rng.uniform(0, bm.size() - 1), 1, want_len));
+  }
+}
+BENCHMARK(BM_BitmapFindRunBestMostlyFree)->Arg(4)->Arg(64)->Arg(1024);
+
+// Churn-aged free space: fill a 1 Mi-block bitmap to ~70 % with 1–64 block
+// runs placed first-fit from random goals, then free and re-allocate at
+// random so the free space ends up in runs of every size.
+void BM_BitmapFindRunAged(benchmark::State& state) {
+  constexpr u64 kBlocks = u64{1} << 20;
+  block::Bitmap bm(kBlocks);
+  Rng rng(9);
+  std::vector<std::pair<u64, u64>> live;
+  for (int i = 0; i < 60000; ++i) {
+    if (bm.used_blocks() < kBlocks * 7 / 10 || rng.chance(0.5)) {
+      const u64 len = rng.uniform(1, 64);
+      if (auto r = bm.find_run(rng.uniform(0, kBlocks - 1), len)) {
+        bm.set_range(*r, len);
+        live.emplace_back(*r, len);
+      }
+    } else {
+      const std::size_t k = rng.uniform(0, live.size() - 1);
+      bm.clear_range(live[k].first, live[k].second);
+      live[k] = live.back();
+      live.pop_back();
+    }
+  }
+  const u64 len = static_cast<u64>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bm.find_run(rng.uniform(0, kBlocks - 1), len));
+  }
+}
+BENCHMARK(BM_BitmapFindRunAged)->Arg(8)->Arg(64);
 
 void BM_BitmapSetClear(benchmark::State& state) {
   block::Bitmap bm(1 << 20);

@@ -6,11 +6,13 @@
 #
 # Configures a side build (<source>/build-asan) with -DMIF_SANITIZE=
 # address,undefined and builds two subsets in one pass: the tests that
-# exercise the transport stack, threading and fault paths (memory errors),
-# and the ones that lean hardest on integer/double arithmetic — disk
-# geometry, extent maps, the on-demand allocator's state machine and its
-# properties, the obs registry, the attribution ledger's pro-rata splitting
-# (signed overflow, bad shifts, misaligned access, enum abuse).  Runs them
+# exercise the transport stack, threading, fault paths and the client
+# readahead run map's split/erase iterator code (memory errors), and the
+# ones that lean hardest on integer/double arithmetic — disk geometry,
+# extent maps, the on-demand allocator's state machine and its properties,
+# the free-space bitmap's word-boundary run probes, the obs registry, the
+# attribution ledger's pro-rata splitting (signed overflow, bad shifts,
+# misaligned access, enum abuse).  Runs them
 # via ctest.  Skips cleanly (exit 0) when the toolchain
 # has no sanitizer runtime, so plain CI environments are not broken.
 # Registered as a ctest from tests/CMakeLists.txt for sanitizer-less parent
@@ -31,4 +33,4 @@ mif_sanitized_ctest check_asan "$SRC" "$SRC/build-asan" "$SANITIZERS" \
     rpc_test concurrency_test fault_verify_test client_test mds_test \
     sim_disk_test sim_scheduler_test block_extent_map_test \
     alloc_property_test qos_test attrib_test span_test redundancy_test \
-    alloc_ondemand_test obs_test
+    alloc_ondemand_test obs_test client_readahead_test block_bitmap_test

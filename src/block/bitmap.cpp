@@ -1,5 +1,6 @@
 #include "block/bitmap.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -7,7 +8,13 @@ namespace mif::block {
 
 namespace {
 constexpr u64 kWordBits = 64;
+
+/// End of a bounded run probe at `b`: b + len, clamped to `size` without
+/// overflowing for huge lengths.
+u64 probe_end(u64 b, u64 len, u64 size) {
+  return size - b > len ? b + len : size;
 }
+}  // namespace
 
 Bitmap::Bitmap(u64 blocks)
     : words_((blocks + kWordBits - 1) / kWordBits, 0),
@@ -76,18 +83,18 @@ u64 Bitmap::next_free(u64 from) const {
   return size_;
 }
 
-u64 Bitmap::next_used(u64 from) const {
+u64 Bitmap::next_used(u64 from, u64 limit) const {
   u64 b = from;
-  while (b < size_) {
+  while (b < limit) {
     const u64 idx = b / kWordBits;
     const u64 w = words_[idx] >> (b % kWordBits);
     if (w == 0) {
       b = (idx + 1) * kWordBits;  // fully free from here in this word
       continue;
     }
-    return b + static_cast<u64>(std::countr_zero(w));
+    return std::min(b + static_cast<u64>(std::countr_zero(w)), limit);
   }
-  return size_;
+  return limit;
 }
 
 std::optional<u64> Bitmap::find_run(u64 goal, u64 len) const {
@@ -97,7 +104,8 @@ std::optional<u64> Bitmap::find_run(u64 goal, u64 len) const {
     while (b < to) {
       b = next_free(b);
       if (b >= to) break;
-      const u64 run_end = next_used(b);
+      // Probe only as far as `len`: a longer run is no better here.
+      const u64 run_end = next_used(b, probe_end(b, len, size_));
       if (run_end - b >= len) return b;
       b = run_end;
     }
@@ -114,7 +122,7 @@ u64 Bitmap::add_free_runs(Histogram& h) const {
   while (b < size_) {
     b = next_free(b);
     if (b >= size_) break;
-    const u64 run_end = next_used(b);
+    const u64 run_end = next_used(b, size_);
     h.add(run_end - b);
     ++runs;
     b = run_end;
@@ -131,7 +139,8 @@ std::optional<BlockRange> Bitmap::find_run_best(u64 goal, u64 min_len,
     while (b < to) {
       b = next_free(b);
       if (b >= to) break;
-      const u64 run_end = next_used(b);
+      // Probe only as far as want_len; a shorter run is measured exactly.
+      const u64 run_end = next_used(b, probe_end(b, want_len, size_));
       const u64 run = run_end - b;
       if (run >= want_len) {
         best = BlockRange{DiskBlock{b}, want_len};

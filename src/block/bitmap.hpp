@@ -52,7 +52,10 @@ class Bitmap {
 
  private:
   u64 next_free(u64 from) const;  // first free bit >= from, or size_
-  u64 next_used(u64 from) const;  // first used bit >= from, or size_
+  /// First used bit in [from, limit), or `limit` (limit <= size_).  Run
+  /// searches pass from + the length they need, so a long free run costs
+  /// len / 64 word reads, not a walk to the end of the free region.
+  u64 next_used(u64 from, u64 limit) const;
 
   std::vector<u64> words_;
   u64 size_;

@@ -455,24 +455,62 @@ Status ClientFs::read_ranges_async(const FileHandle& fh,
   return {};
 }
 
-Status ClientFs::fetch_range(const FileHandle& fh, u64 first, u64 last,
-                             bool consume) {
-  u64 run_start = kNoBlock;
-  for (u64 b = first; b < last; ++b) {
-    const u64 key = block_key(fh.ino, b);
-    const bool resident = buffered_.contains(key);
-    if (resident) {
-      if (consume) buffered_.erase(key);
-      if (run_start != kNoBlock) {
-        if (Status st = read_blocks(fh, run_start, b); !st) return st;
-        run_start = kNoBlock;
-      }
-    } else {
-      if (!consume && buffered_.size() < (u64{1} << 20)) buffered_.insert(key);
-      if (run_start == kNoBlock) run_start = b;
+void ClientFs::buffer_run(BufferedRuns::iterator next, u64 ino, u64 start,
+                          u64 end) {
+  end = std::min(end, start + (kMaxBufferedBlocks - buffered_blocks_));
+  if (start >= end) return;
+  buffered_blocks_ += end - start;
+  if (next != buffered_.begin()) {
+    auto prev = std::prev(next);
+    if (prev->first.first == ino && prev->second == start) {
+      prev->second = end;  // extend the run that ends where this one starts
+      return;
     }
   }
-  if (run_start != kNoBlock) return read_blocks(fh, run_start, last);
+  buffered_.emplace_hint(next, std::pair{ino, start}, end);
+}
+
+ClientFs::BufferedRuns::iterator ClientFs::drop_run(BufferedRuns::iterator it,
+                                                    u64 start, u64 end) {
+  const auto [ino, run_start] = it->first;
+  const u64 run_end = it->second;
+  buffered_blocks_ -= end - start;
+  if (run_start < start) {
+    it->second = start;
+    ++it;
+  } else {
+    it = buffered_.erase(it);
+  }
+  if (end < run_end)
+    it = buffered_.emplace_hint(it, std::pair{ino, end}, run_end);
+  return it;
+}
+
+Status ClientFs::fetch_range(const FileHandle& fh, u64 first, u64 last,
+                             bool consume) {
+  const u64 ino = fh.ino.v;
+  // First run that could overlap [first, last): the one starting at or
+  // before `first` when it reaches past it, else the next one.
+  auto it = buffered_.upper_bound({ino, first});
+  if (it != buffered_.begin()) {
+    auto prev = std::prev(it);
+    if (prev->first.first == ino && prev->second > first) it = prev;
+  }
+  u64 pos = first;
+  while (pos < last) {
+    const bool run_here = it != buffered_.end() && it->first.first == ino &&
+                          it->first.second < last;
+    const u64 gap_end = run_here ? std::max(it->first.second, pos) : last;
+    if (pos < gap_end) {
+      if (Status st = read_blocks(fh, pos, gap_end); !st) return st;
+      if (!consume) buffer_run(it, ino, pos, gap_end);
+      pos = gap_end;
+    }
+    if (!run_here) break;
+    const u64 end = std::min(it->second, last);
+    it = consume ? drop_run(it, pos, end) : std::next(it);
+    pos = end;
+  }
   return {};
 }
 

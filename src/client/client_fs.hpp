@@ -11,7 +11,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -170,10 +169,27 @@ class ClientFs {
   u64 remote_extents(InodeNo ino);
 
   /// Fetch [first, last), skipping blocks already sitting in the client's
-  /// readahead buffer.  `consume` = the application is reading these blocks
-  /// now (buffered ones are handed over and dropped); otherwise this is a
-  /// prefetch and fetched blocks are retained.
+  /// readahead buffer.  Each missing gap is one read_blocks call, issued in
+  /// ascending order; the first failed gap ends the walk.  `consume` = the
+  /// application is reading these blocks now (buffered ones are handed over
+  /// and dropped); otherwise this is a prefetch and each gap is buffered
+  /// once its read succeeds.
   Status fetch_range(const FileHandle& fh, u64 first, u64 last, bool consume);
+
+  /// Readahead buffer: disjoint block runs per file, keyed by (ino, start)
+  /// and mapped to the exclusive end.  Holds at most kMaxBufferedBlocks
+  /// blocks in total.
+  using BufferedRuns = std::map<std::pair<u64, u64>, u64>;
+  static constexpr u64 kMaxBufferedBlocks = u64{1} << 20;
+
+  /// Buffer [start, end) of `ino`, a gap no run overlaps, clipped to the
+  /// room left under the cap.  `next` is the first run after the gap; a run
+  /// of the same file ending at `start` is extended in place.
+  void buffer_run(BufferedRuns::iterator next, u64 ino, u64 start, u64 end);
+  /// Drop [start, end) from run `it`, which covers it, keeping the parts of
+  /// the run outside; returns the run after the dropped span.
+  BufferedRuns::iterator drop_run(BufferedRuns::iterator it, u64 start,
+                                  u64 end);
 
   struct ReadCursor {
     u64 prefetched_until{0};  // exclusive block bound already fetched
@@ -190,7 +206,8 @@ class ClientFs {
   /// Sequential-read detectors: key = (ino, next expected block).
   std::unordered_map<u64, ReadCursor> cursors_;
   /// Blocks prefetched but not yet consumed by the application.
-  std::unordered_set<u64> buffered_;
+  BufferedRuns buffered_;
+  u64 buffered_blocks_{0};  // blocks held in buffered_, <= kMaxBufferedBlocks
   /// Writes since the last periodic layout report, per file.
   std::unordered_map<u64, u32> writes_since_report_;
   ClientStats stats_;
