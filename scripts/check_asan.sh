@@ -6,8 +6,9 @@
 #
 # Configures a side build (<source>/build-asan) with -DMIF_SANITIZE=
 # address,undefined and builds two subsets in one pass: the tests that
-# exercise the transport stack, threading, fault paths and the client
-# readahead run map's split/erase iterator code (memory errors), and the
+# exercise the transport stack, threading, fault paths, the client
+# readahead run map's split/erase iterator code and both client data
+# lowering modes plus the two-phase collective (memory errors), and the
 # ones that lean hardest on integer/double arithmetic — disk geometry,
 # extent maps, the on-demand allocator's state machine and its properties,
 # the free-space bitmap's word-boundary run probes, the obs registry, the
@@ -33,4 +34,5 @@ mif_sanitized_ctest check_asan "$SRC" "$SRC/build-asan" "$SANITIZERS" \
     rpc_test concurrency_test fault_verify_test client_test mds_test \
     sim_disk_test sim_scheduler_test block_extent_map_test \
     alloc_property_test qos_test attrib_test span_test redundancy_test \
-    alloc_ondemand_test obs_test client_readahead_test block_bitmap_test
+    alloc_ondemand_test obs_test client_readahead_test block_bitmap_test \
+    collective_test

@@ -112,7 +112,9 @@ std::optional<u64> Bitmap::find_run(u64 goal, u64 len) const {
     return std::nullopt;
   };
   if (auto r = scan(goal, size_)) return r;
-  if (goal > 0) return scan(0, goal);
+  // The wrap pass stops at size_ too: past it next_free/next_used return
+  // size_ forever, so a goal beyond the bitmap would never end the scan.
+  if (goal > 0) return scan(0, std::min(goal, size_));
   return std::nullopt;
 }
 
@@ -153,7 +155,7 @@ std::optional<BlockRange> Bitmap::find_run_best(u64 goal, u64 min_len,
     }
     return false;
   };
-  if (!scan(goal, size_) && goal > 0) scan(0, goal);
+  if (!scan(goal, size_) && goal > 0) scan(0, std::min(goal, size_));
   return best;
 }
 

@@ -65,52 +65,50 @@ Status ClientFs::write(const FileHandle& fh, u32 pid, u64 offset_bytes,
 
 u64 ClientFs::list_io_runs() const { return fs_->config().list_io_max_runs; }
 
-void ClientFs::gather_runs(
-    u64 first, u64 last,
-    std::map<u32, std::vector<BlockRun>>& per_target) const {
-  for (const osd::StripeSlice& s :
-       osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
-    util::append_run(per_target[s.target], BlockRun{s.local_start, s.count});
+Status ClientFs::issue_ranges(const FileHandle& fh, bool write,
+                              StreamId stream,
+                              std::span<const util::ByteRange> ranges,
+                              std::vector<rpc::Ticket>& out) {
+  // Per-block mode issues each stripe slice as its own group, in slice
+  // order.  List mode merges every target's slices into one run set, so a
+  // region spanning several stripe rounds (or a whole set of ranges) costs
+  // one envelope per target instead of one per slice.
+  const bool list_mode = list_io_runs() > 0;
+  std::map<u32, std::vector<BlockRun>> per_target;
+  for (const util::ByteRange& r : ranges) {
+    if (r.len == 0) continue;
+    const u64 first = r.offset / kBlockSize;
+    const u64 last = (r.end() + kBlockSize - 1) / kBlockSize;
+    for (const osd::StripeSlice& s :
+         osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
+      const BlockRun run{s.local_start, s.count};
+      if (list_mode) {
+        util::append_run(per_target[s.target], run);
+      } else if (Status st =
+                     issue_group(fh, write, stream, s.target, {&run, 1}, out);
+                 !st) {
+        return st;
+      }
+    }
   }
-}
-
-Status ClientFs::issue_write_runs_to(InodeNo ino, StreamId stream, u32 target,
-                                     const std::vector<BlockRun>& runs,
-                                     std::vector<rpc::Ticket>& out) {
-  rpc::CompletionQueue& cq = fs_->rpc().completions();
-  const u64 max_runs = std::max<u64>(list_io_runs(), 1);
-  for (std::size_t at = 0; at < runs.size(); at += max_runs) {
-    const std::span<const BlockRun> chunk{
-        runs.data() + at, std::min<std::size_t>(max_runs, runs.size() - at)};
-    u64 blocks = 0;
-    for (const BlockRun& r : chunk) blocks += r.count;
-    obs::ScopedSpan unit(fs_->spans(), "osd.stripe_unit", target, blocks);
-    rpc::Ticket t;
-    util::StridedRuns pat;
-    if (chunk.size() == 1) {
-      t = fs_->rpc().block_write_async(target, ino, stream, chunk[0].start,
-                                       chunk[0].count);
-    } else if (util::as_strided(chunk, pat)) {
-      t = fs_->rpc().write_strided_async(target, ino, stream, pat.start,
-                                         pat.count, pat.stride, pat.block_len);
-    } else {
-      t = fs_->rpc().write_list_async(
-          target, ino, stream, {chunk.begin(), chunk.end()});
-    }
-    if (auto r = cq.try_take(t)) {
-      if (!*r) return r->error();
-    } else {
-      out.push_back(t);
-    }
+  for (const auto& [target, runs] : per_target) {
+    if (Status st = issue_group(fh, write, stream, target, runs, out); !st)
+      return st;
   }
   return {};
 }
 
-Status ClientFs::issue_write_runs(const FileHandle& fh, StreamId stream,
-                                  u32 target, std::vector<BlockRun> runs,
-                                  std::vector<rpc::Ticket>& out) {
+Status ClientFs::issue_group(const FileHandle& fh, bool write, StreamId stream,
+                             u32 target, std::span<const BlockRun> runs,
+                             std::vector<rpc::Ticket>& out) {
   if (!replicas_on())
-    return issue_write_runs_to(fh.ino, stream, target, runs, out);
+    return issue_chunks(write, fh.ino, stream, target, runs, out);
+  if (!write) {
+    auto routed = route_read(target, fh.ino);
+    if (!routed) return routed.error();
+    return issue_chunks(false, routed->second, stream, routed->first, runs,
+                        out);
+  }
   // Replica fan: the same local runs go to the primary and to every copy's
   // rotated target, under the tagged subfile ino (the copies keep the
   // primary's local addresses — the invariant degraded reads rely on).
@@ -131,7 +129,7 @@ Status ClientFs::issue_write_runs(const FileHandle& fh, StreamId stream,
     const InodeNo ino =
         c == 0 ? fh.ino : redundancy::replica_ino(fh.ino, c);
     if (c > 0) red.replica_writes.fetch_add(1, std::memory_order_relaxed);
-    if (Status st = issue_write_runs_to(ino, stream, t, runs, out);
+    if (Status st = issue_chunks(true, ino, stream, t, runs, out);
         !st && first.ok()) {
       first = st;
     }
@@ -144,50 +142,29 @@ Status ClientFs::issue_write_runs(const FileHandle& fh, StreamId stream,
   return first;
 }
 
-Status ClientFs::issue_read_runs_to(InodeNo ino, u32 target,
-                                    const std::vector<BlockRun>& runs,
-                                    std::vector<rpc::Ticket>& out) {
-  rpc::CompletionQueue& cq = fs_->rpc().completions();
+Status ClientFs::issue_chunks(bool write, InodeNo ino, StreamId stream,
+                              u32 target, std::span<const BlockRun> runs,
+                              std::vector<rpc::Ticket>& out) {
+  rpc::Client& rpc = fs_->rpc();
   const u64 max_runs = std::max<u64>(list_io_runs(), 1);
   for (std::size_t at = 0; at < runs.size(); at += max_runs) {
-    const std::span<const BlockRun> chunk{
-        runs.data() + at, std::min<std::size_t>(max_runs, runs.size() - at)};
+    const std::span<const BlockRun> chunk =
+        runs.subspan(at, std::min<std::size_t>(max_runs, runs.size() - at));
     u64 blocks = 0;
     for (const BlockRun& r : chunk) blocks += r.count;
     obs::ScopedSpan unit(fs_->spans(), "osd.stripe_unit", target, blocks);
-    rpc::Ticket t;
-    util::StridedRuns pat;
-    if (chunk.size() == 1) {
-      t = fs_->rpc().block_read_async(target, ino, chunk[0].start,
-                                      chunk[0].count);
-    } else if (util::as_strided(chunk, pat)) {
-      t = fs_->rpc().read_strided_async(target, ino, pat.start, pat.count,
-                                        pat.stride, pat.block_len);
-    } else {
-      t = fs_->rpc().read_list_async(target, ino,
-                                     {chunk.begin(), chunk.end()});
-    }
-    if (auto r = cq.try_take(t)) {
+    const rpc::Ticket t = write
+                              ? rpc.write_runs_async(target, ino, stream, chunk)
+                              : rpc.read_runs_async(target, ino, chunk);
+    if (auto r = rpc.completions().try_take(t)) {
+      // Completed at issue (the sync chain): a failure stops issuing before
+      // the next chunk, exactly like a blocking loop.
       if (!*r) return r->error();
     } else {
       out.push_back(t);
     }
   }
   return {};
-}
-
-Status ClientFs::issue_read_runs(const FileHandle& fh, u32 target,
-                                 std::vector<BlockRun> runs,
-                                 std::vector<rpc::Ticket>& out) {
-  u32 t = target;
-  InodeNo ino = fh.ino;
-  if (replicas_on()) {
-    auto routed = route_read(target, fh.ino);
-    if (!routed) return routed.error();
-    t = routed->first;
-    ino = routed->second;
-  }
-  return issue_read_runs_to(ino, t, runs, out);
 }
 
 bool ClientFs::replicas_on() const {
@@ -217,56 +194,27 @@ Status ClientFs::write_async(const FileHandle& fh, u32 pid, u64 offset_bytes,
   if (!fh.valid() || len_bytes == 0) return Errc::kInvalid;
   obs::ScopedSpan span(fs_->spans(), "client.write", fh.ino.v, len_bytes);
   obs::ScopedPrincipal who({id_.v, obs::OpClass::kData});
-  const u64 first = offset_bytes / kBlockSize;
-  const u64 last = (offset_bytes + len_bytes + kBlockSize - 1) / kBlockSize;
-  const StreamId stream{id_.v, pid};
-  rpc::CompletionQueue& cq = fs_->rpc().completions();
-  if (list_io_runs() > 0) {
-    // List mode: a region spanning several stripe rounds becomes one merged
-    // run set per target — one envelope each — instead of one per slice.
-    std::map<u32, std::vector<BlockRun>> per_target;
-    gather_runs(first, last, per_target);
-    for (auto& [target, runs] : per_target) {
-      if (Status st = issue_write_runs(fh, stream, target, std::move(runs), out);
-          !st)
-        return st;
-    }
-  } else if (replicas_on()) {
-    // Per-block mode with replication: each slice still becomes one
-    // block_write envelope for the primary, plus one per alive copy — the
-    // fan lives in issue_write_runs so both I/O modes share it.
-    for (const osd::StripeSlice& s :
-         osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
-      if (Status st = issue_write_runs(
-              fh, stream, s.target, {BlockRun{s.local_start, s.count}}, out);
-          !st)
-        return st;
-    }
-  } else {
-    for (const osd::StripeSlice& s :
-         osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
-      obs::ScopedSpan unit(fs_->spans(), "osd.stripe_unit", s.target, s.count);
-      rpc::Ticket t = fs_->rpc().block_write_async(s.target, fh.ino, stream,
-                                                   s.local_start, s.count);
-      if (auto r = cq.try_take(t)) {
-        // Completed at issue (the sync chain): a failure stops the loop
-        // before the next slice, exactly like the blocking path.
-        if (!*r) return r->error();
-      } else {
-        out.push_back(t);
-      }
-    }
-  }
+  const util::ByteRange range{offset_bytes, len_bytes};
+  if (Status st = issue_ranges(fh, /*write=*/true, StreamId{id_.v, pid},
+                               {&range, 1}, out);
+      !st)
+    return st;
   ++stats_.writes;
   stats_.bytes_written += len_bytes;
+  note_writes(fh, 1);
+  return {};
+}
+
+void ClientFs::note_writes(const FileHandle& fh, u64 n) {
   // Periodic layout shipping: every so many writes the client pushes the
   // file's grown extent list to the MDS, which pays CPU to merge and index
   // it — the continual cost Table I correlates with fragmentation.
-  if (++writes_since_report_[fh.ino.v] >= 64) {
-    writes_since_report_[fh.ino.v] = 0;
+  u32& since = writes_since_report_[fh.ino.v];
+  since += static_cast<u32>(n);
+  if (since >= 64) {
+    since = 0;
     (void)fs_->rpc().report_extents(fh.ino, remote_extents(fh.ino));
   }
-  return {};
 }
 
 Status ClientFs::drain(std::vector<rpc::Ticket>& tickets) {
@@ -295,43 +243,33 @@ Status ClientFs::read_blocks(const FileHandle& fh, u64 first, u64 last) {
   // Issue every slice before claiming any completion, so reads (including
   // readahead top-ups) overlap across the striped targets too.
   std::vector<rpc::Ticket> pending;
-  Status issued{};
-  if (list_io_runs() > 0) {
-    std::map<u32, std::vector<BlockRun>> per_target;
-    gather_runs(first, last, per_target);
-    for (auto& [target, runs] : per_target) {
-      issued = issue_read_runs(fh, target, std::move(runs), pending);
-      if (!issued) break;
-    }
-  } else if (replicas_on()) {
-    // Per-block mode with replication: route each slice around dead targets
-    // (the fan/route logic lives in issue_read_runs for both I/O modes).
-    for (const osd::StripeSlice& s :
-         osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
-      issued = issue_read_runs(fh, s.target,
-                               {BlockRun{s.local_start, s.count}}, pending);
-      if (!issued) break;
-    }
-  } else {
-    rpc::CompletionQueue& cq = fs_->rpc().completions();
-    for (const osd::StripeSlice& s :
-         osd::slices_for(fs_->stripe(), FileBlock{first}, last - first)) {
-      obs::ScopedSpan unit(fs_->spans(), "osd.stripe_unit", s.target, s.count);
-      rpc::Ticket t =
-          fs_->rpc().block_read_async(s.target, fh.ino, s.local_start, s.count);
-      if (auto r = cq.try_take(t)) {
-        if (!*r) {
-          issued = r->error();
-          break;
-        }
-      } else {
-        pending.push_back(t);
-      }
-    }
-  }
+  const util::ByteRange range{first * kBlockSize, (last - first) * kBlockSize};
+  Status issued =
+      issue_ranges(fh, /*write=*/false, StreamId{}, {&range, 1}, pending);
   Status drained = drain(pending);
   return issued.ok() ? drained : issued;
 }
+
+namespace {
+
+/// The byte ranges of a strided pattern: `count` pieces of `piece_bytes`,
+/// starts `stride_bytes` apart.
+std::vector<util::ByteRange> strided_ranges(u64 offset_bytes, u64 piece_bytes,
+                                            u64 stride_bytes, u64 count) {
+  std::vector<util::ByteRange> ranges(count);
+  for (u64 i = 0; i < count; ++i) {
+    ranges[i] = {offset_bytes + i * stride_bytes, piece_bytes};
+  }
+  return ranges;
+}
+
+u64 total_bytes(std::span<const util::ByteRange> ranges) {
+  u64 total = 0;
+  for (const util::ByteRange& r : ranges) total += r.len;
+  return total;
+}
+
+}  // namespace
 
 Status ClientFs::write_strided(const FileHandle& fh, u32 pid, u64 offset_bytes,
                                u64 piece_bytes, u64 stride_bytes, u64 count) {
@@ -349,27 +287,14 @@ Status ClientFs::write_strided(const FileHandle& fh, u32 pid, u64 offset_bytes,
   obs::ScopedSpan span(fs_->spans(), "client.write_strided", fh.ino.v,
                        count * piece_bytes);
   obs::ScopedPrincipal who({id_.v, obs::OpClass::kData});
-  std::map<u32, std::vector<BlockRun>> per_target;
-  for (u64 i = 0; i < count; ++i) {
-    const u64 off = offset_bytes + i * stride_bytes;
-    gather_runs(off / kBlockSize,
-                (off + piece_bytes + kBlockSize - 1) / kBlockSize, per_target);
-  }
-  const StreamId stream{id_.v, pid};
   std::vector<rpc::Ticket> tickets;
-  Status issued{};
-  for (auto& [target, runs] : per_target) {
-    issued = issue_write_runs(fh, stream, target, std::move(runs), tickets);
-    if (!issued) break;
-  }
+  Status issued = issue_ranges(
+      fh, /*write=*/true, StreamId{id_.v, pid},
+      strided_ranges(offset_bytes, piece_bytes, stride_bytes, count), tickets);
   Status drained = drain(tickets);
   stats_.writes += count;
   stats_.bytes_written += count * piece_bytes;
-  writes_since_report_[fh.ino.v] += static_cast<u32>(count);
-  if (writes_since_report_[fh.ino.v] >= 64) {
-    writes_since_report_[fh.ino.v] = 0;
-    (void)fs_->rpc().report_extents(fh.ino, remote_extents(fh.ino));
-  }
+  note_writes(fh, count);
   return issued.ok() ? drained : issued;
 }
 
@@ -387,18 +312,10 @@ Status ClientFs::read_strided(const FileHandle& fh, u64 offset_bytes,
   obs::ScopedSpan span(fs_->spans(), "client.read_strided", fh.ino.v,
                        count * piece_bytes);
   obs::ScopedPrincipal who({id_.v, obs::OpClass::kData});
-  std::map<u32, std::vector<BlockRun>> per_target;
-  for (u64 i = 0; i < count; ++i) {
-    const u64 off = offset_bytes + i * stride_bytes;
-    gather_runs(off / kBlockSize,
-                (off + piece_bytes + kBlockSize - 1) / kBlockSize, per_target);
-  }
   std::vector<rpc::Ticket> tickets;
-  Status issued{};
-  for (auto& [target, runs] : per_target) {
-    issued = issue_read_runs(fh, target, std::move(runs), tickets);
-    if (!issued) break;
-  }
+  Status issued = issue_ranges(
+      fh, /*write=*/false, StreamId{},
+      strided_ranges(offset_bytes, piece_bytes, stride_bytes, count), tickets);
   Status drained = drain(tickets);
   stats_.reads += count;
   stats_.bytes_read += count * piece_bytes;
@@ -409,23 +326,14 @@ Status ClientFs::write_ranges_async(const FileHandle& fh, u32 pid,
                                     std::span<const util::ByteRange> ranges,
                                     std::vector<rpc::Ticket>& out) {
   if (!fh.valid() || list_io_runs() == 0) return Errc::kInvalid;
-  u64 total = 0;
-  for (const util::ByteRange& r : ranges) total += r.len;
+  const u64 total = total_bytes(ranges);
   if (total == 0) return {};
   obs::ScopedSpan span(fs_->spans(), "client.write", fh.ino.v, total);
   obs::ScopedPrincipal who({id_.v, obs::OpClass::kData});
-  std::map<u32, std::vector<BlockRun>> per_target;
-  for (const util::ByteRange& r : ranges) {
-    if (r.len == 0) continue;
-    gather_runs(r.offset / kBlockSize,
-                (r.end() + kBlockSize - 1) / kBlockSize, per_target);
-  }
-  const StreamId stream{id_.v, pid};
-  for (auto& [target, runs] : per_target) {
-    if (Status st = issue_write_runs(fh, stream, target, std::move(runs), out);
-        !st)
-      return st;
-  }
+  if (Status st =
+          issue_ranges(fh, /*write=*/true, StreamId{id_.v, pid}, ranges, out);
+      !st)
+    return st;
   ++stats_.writes;
   stats_.bytes_written += total;
   return {};
@@ -435,21 +343,13 @@ Status ClientFs::read_ranges_async(const FileHandle& fh,
                                    std::span<const util::ByteRange> ranges,
                                    std::vector<rpc::Ticket>& out) {
   if (!fh.valid() || list_io_runs() == 0) return Errc::kInvalid;
-  u64 total = 0;
-  for (const util::ByteRange& r : ranges) total += r.len;
+  const u64 total = total_bytes(ranges);
   if (total == 0) return {};
   obs::ScopedSpan span(fs_->spans(), "client.read", fh.ino.v, total);
   obs::ScopedPrincipal who({id_.v, obs::OpClass::kData});
-  std::map<u32, std::vector<BlockRun>> per_target;
-  for (const util::ByteRange& r : ranges) {
-    if (r.len == 0) continue;
-    gather_runs(r.offset / kBlockSize,
-                (r.end() + kBlockSize - 1) / kBlockSize, per_target);
-  }
-  for (auto& [target, runs] : per_target) {
-    if (Status st = issue_read_runs(fh, target, std::move(runs), out); !st)
-      return st;
-  }
+  if (Status st = issue_ranges(fh, /*write=*/false, StreamId{}, ranges, out);
+      !st)
+    return st;
   ++stats_.reads;
   stats_.bytes_read += total;
   return {};

@@ -5,6 +5,13 @@
 // client congregates common operation pairs (open-getlayout) to reduce MDS
 // interaction (§V-A) and keeps a layout cache so repeated opens of the same
 // file do not re-fetch extents.
+//
+// Every data access lowers through one path, issue_ranges: byte ranges →
+// stripe slices → target-local run groups (one per slice in per-block mode,
+// one merged group per target in list mode) → replica fan or route →
+// envelopes chunked at list_io_max_runs, whose block/strided/list shape
+// rpc::Client chooses.  The entry points differ only in span name, stats
+// and whether they drain.
 #pragma once
 
 #include <map>
@@ -125,38 +132,39 @@ class ClientFs {
   core::ParallelFileSystem& fs() { return *fs_; }
 
  private:
-  /// Issue block reads [first, last) to the striped targets.
+  /// Issue block reads [first, last) to the striped targets and drain them.
   Status read_blocks(const FileHandle& fh, u64 first, u64 last);
 
   /// list_io_max_runs from the mount config; 0 = per-block mode.
   u64 list_io_runs() const;
 
-  /// Per-target run accumulation: lower the block range [first, last) via
-  /// the stripe layout, merging adjacent local runs per target.
-  void gather_runs(u64 first, u64 last,
-                   std::map<u32, std::vector<BlockRun>>& per_target) const;
+  /// The one data lowering: the byte `ranges` (rounded outward to blocks)
+  /// → target-local run groups → replica fan or route → chunked envelopes.
+  /// Per-block mode makes every stripe slice its own group, in slice
+  /// order; list mode merges each target's adjacent runs into one group,
+  /// in ascending target order.  Tickets that complete at issue are
+  /// claimed inline; the first failure stops issuing.
+  Status issue_ranges(const FileHandle& fh, bool write, StreamId stream,
+                      std::span<const util::ByteRange> ranges,
+                      std::vector<rpc::Ticket>& out);
+  /// One group's destinations: without replication the target itself.
+  /// With it, a write fans to the primary and every alive replica copy (a
+  /// dead primary degrades the write; repair re-converges it later) and a
+  /// read routes to the first alive copy (redundancy.degraded_reads).
+  Status issue_group(const FileHandle& fh, bool write, StreamId stream,
+                     u32 target, std::span<const BlockRun> runs,
+                     std::vector<rpc::Ticket>& out);
+  /// Ship one destination's runs through rpc::Client's run-shaped stubs,
+  /// chunked at list_io_max_runs (one run per envelope in per-block mode),
+  /// each chunk under an osd.stripe_unit span.  `ino` is the primary or a
+  /// redundancy::replica_ino-tagged subfile.
+  Status issue_chunks(bool write, InodeNo ino, StreamId stream, u32 target,
+                      std::span<const BlockRun> runs,
+                      std::vector<rpc::Ticket>& out);
 
-  /// Ship one target's run list as block/list/strided envelope(s) through
-  /// the async path, chunked at list_io_max_runs; tickets that complete at
-  /// issue are claimed inline (sync-chain fast path).  With replication
-  /// mounted, writes fan to the primary and every alive replica copy (a
-  /// dead primary degrades the write; repair re-converges it later) and
-  /// reads route to the first alive copy (redundancy.degraded_reads).
-  Status issue_write_runs(const FileHandle& fh, StreamId stream, u32 target,
-                          std::vector<BlockRun> runs,
-                          std::vector<rpc::Ticket>& out);
-  Status issue_read_runs(const FileHandle& fh, u32 target,
-                         std::vector<BlockRun> runs,
-                         std::vector<rpc::Ticket>& out);
-
-  /// The single-destination workers behind the fan/route wrappers above
-  /// (`ino` is the primary or a redundancy::replica_ino-tagged subfile).
-  Status issue_write_runs_to(InodeNo ino, StreamId stream, u32 target,
-                             const std::vector<BlockRun>& runs,
-                             std::vector<rpc::Ticket>& out);
-  Status issue_read_runs_to(InodeNo ino, u32 target,
-                            const std::vector<BlockRun>& runs,
-                            std::vector<rpc::Ticket>& out);
+  /// Count `n` writes toward the periodic layout report and ship the
+  /// file's extent count to the MDS every 64.
+  void note_writes(const FileHandle& fh, u64 n);
 
   /// True when the mount replicates (cfg.redundancy.replicas >= 2).
   bool replicas_on() const;

@@ -26,37 +26,38 @@ ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg) : cfg_(cfg) {
   rpc::Endpoints eps;
   for (auto& m : mds_) eps.mds.push_back(m.get());
   for (auto& t : targets_) eps.osds.push_back(t.get());
-  // The async transport prices per-envelope disk service from the spindle
-  // geometry the targets actually mount; the shard router mirrors the
-  // metadata config (shards <= 1 builds no router at all).
-  cfg_.rpc.geometry = cfg_.target.geometry;
-  cfg_.rpc.mds_shards = cfg_.mds.shards;
-  cfg_.rpc.placement = cfg_.mds.placement;
   // Fail fast on an unmountable formation/QoS config (benches validate user
   // flags with exit 2 before getting here; this guards programmatic use).
   assert(rpc::validate(cfg_.rpc.formation).empty());
   assert(rpc::validate(cfg_.rpc.qos).empty());
   assert(redundancy::validate(cfg_.redundancy, cfg_.stripe.width).empty());
-  rpc_stack_ = rpc::TransportStack(std::move(eps), cfg_.rpc);
+  // The async transport prices per-envelope disk service from the spindle
+  // geometry the targets actually mount; the shard router mirrors the
+  // metadata config (shards <= 1 builds no router at all).
+  rpc_stack_ = rpc::TransportStack(std::move(eps), cfg_.rpc,
+                                   cfg_.target.geometry, cfg_.mds.shards,
+                                   cfg_.mds.placement);
   rpc_client_ = std::make_unique<rpc::Client>(rpc_stack_.top());
-  // Closures below capture raw pointers to the heap-pinned targets, NOT
+  // Closures below capture raw pointers to the heap-pinned servers, NOT
   // `this` — benches move the PFS value around.
   std::vector<osd::StorageTarget*> tgts;
   for (auto& t : targets_) tgts.push_back(t.get());
+  std::vector<mds::Mds*> servers;
+  for (auto& m : mds_) servers.push_back(m.get());
+  // The cluster-max simulated timeline, metadata servers included.
+  const auto cluster_now = [tgts, servers] {
+    double now = 0.0;
+    for (osd::StorageTarget* t : tgts) now = std::max(now, t->sim_now_ms());
+    for (mds::Mds* m : servers) now = std::max(now, m->fs().elapsed_ms());
+    return now;
+  };
   if (rpc::QosTransport* qos = rpc_stack_.qos()) {
-    // Token buckets refill on the cluster-max simulated timeline — metadata
-    // servers included, NOT just the data disks: when the scheduler parks a
-    // client's whole data stream, the disks idle, and a data-only clock
-    // would freeze the refill exactly when the backlog needs it (the
-    // throttled state would be an absorbing state).
-    std::vector<mds::Mds*> servers;
-    for (auto& m : mds_) servers.push_back(m.get());
-    qos->set_clock([tgts, servers] {
-      double now = 0.0;
-      for (osd::StorageTarget* t : tgts) now = std::max(now, t->sim_now_ms());
-      for (mds::Mds* m : servers) now = std::max(now, m->fs().elapsed_ms());
-      return now;
-    });
+    // Token buckets refill on the cluster-max timeline, NOT just the data
+    // disks': when the scheduler parks a client's whole data stream, the
+    // disks idle, and a data-only clock would freeze the refill exactly
+    // when the backlog needs it (the throttled state would be an absorbing
+    // state).
+    qos->set_clock(cluster_now);
   }
   if (rpc::AsyncTransport* async = rpc_stack_.async();
       async && cfg_.rpc.adaptive_depth_max >= 2) {
@@ -74,14 +75,6 @@ ParallelFileSystem::ParallelFileSystem(ClusterConfig cfg) : cfg_(cfg) {
   health_ = std::make_unique<redundancy::HealthMap>();
   health_->resize(static_cast<u32>(cfg_.num_targets));
   red_stats_ = std::make_unique<redundancy::Stats>();
-  std::vector<mds::Mds*> servers;
-  for (auto& m : mds_) servers.push_back(m.get());
-  auto cluster_now = [tgts, servers] {
-    double now = 0.0;
-    for (osd::StorageTarget* t : tgts) now = std::max(now, t->sim_now_ms());
-    for (mds::Mds* m : servers) now = std::max(now, m->fs().elapsed_ms());
-    return now;
-  };
   if (cfg_.redundancy.enabled()) {
     redundancy::RepairConfig rcfg;
     if (cfg_.list_io_max_runs > 0) rcfg.max_runs_per_envelope = cfg_.list_io_max_runs;

@@ -68,11 +68,6 @@ struct ClusterConfig {
   redundancy::Policy redundancy{};
 };
 
-/// The mount-time knobs a deployment tunes (allocator mode, directory mode,
-/// stripe, transport pipeline depth).  Alias of ClusterConfig: the cluster
-/// IS its mount options in this in-process harness.
-using MountOptions = ClusterConfig;
-
 class ParallelFileSystem {
  public:
   explicit ParallelFileSystem(ClusterConfig cfg = {});

@@ -2,6 +2,41 @@
 
 namespace mif::rpc {
 
+namespace {
+
+// The envelope-shape rule for one chunk of target-local runs: a single run
+// is a block op, a regular pattern (util::as_strided) the constant-size
+// strided op, anything else a list op.  Write envelopes also carry the
+// stream the target's allocator keys on.
+template <typename BlockReq, typename StridedReq, typename ListReq>
+Request runs_envelope(InodeNo ino, StreamId stream,
+                      std::span<const BlockRun> runs) {
+  const auto stamped = [&](auto req) {
+    req.ino = ino;
+    if constexpr (requires { req.stream; }) req.stream = stream;
+    return Request{std::move(req)};
+  };
+  util::StridedRuns pat;
+  if (runs.size() == 1) {
+    BlockReq req;
+    req.runs.push_back(runs.front());
+    return stamped(std::move(req));
+  }
+  if (util::as_strided(runs, pat)) {
+    StridedReq req;
+    req.start = pat.start;
+    req.count = pat.count;
+    req.stride = pat.stride;
+    req.block_len = pat.block_len;
+    return stamped(req);
+  }
+  ListReq req;
+  req.runs.assign(runs.begin(), runs.end());
+  return stamped(std::move(req));
+}
+
+}  // namespace
+
 Result<InodeNo> Client::mkdir(std::string_view path) {
   auto r = expect<InodeResponse>(
       transport_->call(mds_, MkdirRequest{std::string(path)}));
@@ -71,23 +106,6 @@ Status Client::report_extents(InodeNo ino, u64 extent_count) {
   return to_status(transport_->call(mds_, req));
 }
 
-Status Client::block_write(u32 target, InodeNo ino, StreamId stream,
-                           FileBlock start, u64 count) {
-  BlockWriteRequest req;
-  req.ino = ino;
-  req.stream = stream;
-  req.runs.push_back(BlockRun{start, count});
-  return to_status(transport_->call(osd_at(target), std::move(req)));
-}
-
-Status Client::block_read(u32 target, InodeNo ino, FileBlock start,
-                          u64 count) {
-  BlockReadRequest req;
-  req.ino = ino;
-  req.runs.push_back(BlockRun{start, count});
-  return to_status(transport_->call(osd_at(target), std::move(req)));
-}
-
 Status Client::write_list(u32 target, InodeNo ino, StreamId stream,
                           std::vector<BlockRun> runs) {
   WriteListRequest req;
@@ -104,86 +122,20 @@ Status Client::read_list(u32 target, InodeNo ino, std::vector<BlockRun> runs) {
   return to_status(transport_->call(osd_at(target), std::move(req)));
 }
 
-Status Client::write_strided(u32 target, InodeNo ino, StreamId stream,
-                             FileBlock start, u64 count, u64 stride,
-                             u64 block_len) {
-  WriteStridedRequest req;
-  req.ino = ino;
-  req.stream = stream;
-  req.start = start;
-  req.count = count;
-  req.stride = stride;
-  req.block_len = block_len;
-  return to_status(transport_->call(osd_at(target), req));
+Ticket Client::write_runs_async(u32 target, InodeNo ino, StreamId stream,
+                                std::span<const BlockRun> runs) {
+  return transport_->call_async(
+      osd_at(target),
+      runs_envelope<BlockWriteRequest, WriteStridedRequest, WriteListRequest>(
+          ino, stream, runs));
 }
 
-Status Client::read_strided(u32 target, InodeNo ino, FileBlock start,
-                            u64 count, u64 stride, u64 block_len) {
-  ReadStridedRequest req;
-  req.ino = ino;
-  req.start = start;
-  req.count = count;
-  req.stride = stride;
-  req.block_len = block_len;
-  return to_status(transport_->call(osd_at(target), req));
-}
-
-Ticket Client::block_write_async(u32 target, InodeNo ino, StreamId stream,
-                                 FileBlock start, u64 count) {
-  BlockWriteRequest req;
-  req.ino = ino;
-  req.stream = stream;
-  req.runs.push_back(BlockRun{start, count});
-  return transport_->call_async(osd_at(target), std::move(req));
-}
-
-Ticket Client::block_read_async(u32 target, InodeNo ino, FileBlock start,
-                                u64 count) {
-  BlockReadRequest req;
-  req.ino = ino;
-  req.runs.push_back(BlockRun{start, count});
-  return transport_->call_async(osd_at(target), std::move(req));
-}
-
-Ticket Client::write_list_async(u32 target, InodeNo ino, StreamId stream,
-                                std::vector<BlockRun> runs) {
-  WriteListRequest req;
-  req.ino = ino;
-  req.stream = stream;
-  req.runs = std::move(runs);
-  return transport_->call_async(osd_at(target), std::move(req));
-}
-
-Ticket Client::read_list_async(u32 target, InodeNo ino,
-                               std::vector<BlockRun> runs) {
-  ReadListRequest req;
-  req.ino = ino;
-  req.runs = std::move(runs);
-  return transport_->call_async(osd_at(target), std::move(req));
-}
-
-Ticket Client::write_strided_async(u32 target, InodeNo ino, StreamId stream,
-                                   FileBlock start, u64 count, u64 stride,
-                                   u64 block_len) {
-  WriteStridedRequest req;
-  req.ino = ino;
-  req.stream = stream;
-  req.start = start;
-  req.count = count;
-  req.stride = stride;
-  req.block_len = block_len;
-  return transport_->call_async(osd_at(target), req);
-}
-
-Ticket Client::read_strided_async(u32 target, InodeNo ino, FileBlock start,
-                                  u64 count, u64 stride, u64 block_len) {
-  ReadStridedRequest req;
-  req.ino = ino;
-  req.start = start;
-  req.count = count;
-  req.stride = stride;
-  req.block_len = block_len;
-  return transport_->call_async(osd_at(target), req);
+Ticket Client::read_runs_async(u32 target, InodeNo ino,
+                               std::span<const BlockRun> runs) {
+  return transport_->call_async(
+      osd_at(target),
+      runs_envelope<BlockReadRequest, ReadStridedRequest, ReadListRequest>(
+          ino, StreamId{}, runs));
 }
 
 Ticket Client::preallocate_async(u32 target, InodeNo ino, u64 total_blocks) {
@@ -211,19 +163,6 @@ Result<u64> Client::target_extents(u32 target, InodeNo ino) {
   auto r = expect<ExtentCountResponse>(transport_->call(osd_at(target), req));
   if (!r) return r.error();
   return r->extent_count;
-}
-
-Status Client::preallocate(u32 target, InodeNo ino, u64 total_blocks) {
-  PreallocateRequest req;
-  req.ino = ino;
-  req.total_blocks = total_blocks;
-  return to_status(transport_->call(osd_at(target), req));
-}
-
-Status Client::close_file(u32 target, InodeNo ino) {
-  CloseFileRequest req;
-  req.ino = ino;
-  return to_status(transport_->call(osd_at(target), req));
 }
 
 Status Client::delete_file(u32 target, InodeNo ino) {

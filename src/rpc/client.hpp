@@ -1,12 +1,18 @@
 // rpc::Client — the typed stub callers use instead of server method calls.
 //
-// One method per operation: it builds the request envelope, sends it through
-// the transport, and unwraps the expected response alternative.  ClientFs,
-// workloads and benches all speak to servers exclusively through this
-// class; nothing above the transport ever touches a server object's RPC
-// surface directly.
+// Each method builds a request envelope, sends it through the transport,
+// and unwraps the expected response alternative.  Metadata ops are one
+// method per operation.  The client data path has exactly two entries,
+// write_runs_async and read_runs_async: ClientFs hands them a chunk of
+// target-local runs and the stub picks the envelope shape (block, strided
+// or list) — the only place that rule lives.  The remaining data methods
+// are the whole-file ops core::ParallelFileSystem fans out and the sync
+// list I/O the repair service copies with.  ClientFs, workloads and benches
+// all speak to servers exclusively through this class; nothing above the
+// transport ever touches a server object's RPC surface directly.
 #pragma once
 
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -36,38 +42,26 @@ class Client {
   Status report_extents(InodeNo ino, u64 extent_count);
 
   // --- data ops (client ↔ storage target) ----------------------------------
-  Status block_write(u32 target, InodeNo ino, StreamId stream, FileBlock start,
-                     u64 count);
-  Status block_read(u32 target, InodeNo ino, FileBlock start, u64 count);
-  /// List I/O: one envelope moves every run in one server pass.
+  /// List I/O: one envelope moves every run in one server pass (the repair
+  /// service's rebuild copies).
   Status write_list(u32 target, InodeNo ino, StreamId stream,
                     std::vector<BlockRun> runs);
   Status read_list(u32 target, InodeNo ino, std::vector<BlockRun> runs);
-  /// Datatype I/O: a (count, stride, block_len) pattern in constant wire
-  /// bytes.
-  Status write_strided(u32 target, InodeNo ino, StreamId stream,
-                       FileBlock start, u64 count, u64 stride, u64 block_len);
-  Status read_strided(u32 target, InodeNo ino, FileBlock start, u64 count,
-                      u64 stride, u64 block_len);
   Result<u64> target_extents(u32 target, InodeNo ino);
-  Status preallocate(u32 target, InodeNo ino, u64 total_blocks);
-  Status close_file(u32 target, InodeNo ino);
   Status delete_file(u32 target, InodeNo ino);
 
   // --- async data ops: issue a ticket, drain via completions() -------------
   // The striped data path issues many of these before claiming any result,
   // so an async transport keeps a window in flight across the targets.
-  Ticket block_write_async(u32 target, InodeNo ino, StreamId stream,
-                           FileBlock start, u64 count);
-  Ticket block_read_async(u32 target, InodeNo ino, FileBlock start, u64 count);
-  Ticket write_list_async(u32 target, InodeNo ino, StreamId stream,
-                          std::vector<BlockRun> runs);
-  Ticket read_list_async(u32 target, InodeNo ino, std::vector<BlockRun> runs);
-  Ticket write_strided_async(u32 target, InodeNo ino, StreamId stream,
-                             FileBlock start, u64 count, u64 stride,
-                             u64 block_len);
-  Ticket read_strided_async(u32 target, InodeNo ino, FileBlock start,
-                            u64 count, u64 stride, u64 block_len);
+  /// Ship a non-empty chunk of target-local `runs` in ONE envelope whose
+  /// shape follows the runs: a single run is a kBlockWrite, a regular
+  /// pattern (util::as_strided) a constant-size kWriteStrided, anything
+  /// else a kWriteList.  Chunking to an envelope size is the caller's job.
+  Ticket write_runs_async(u32 target, InodeNo ino, StreamId stream,
+                          std::span<const BlockRun> runs);
+  /// Read-side twin: kBlockRead, kReadStrided or kReadList.
+  Ticket read_runs_async(u32 target, InodeNo ino,
+                         std::span<const BlockRun> runs);
   Ticket preallocate_async(u32 target, InodeNo ino, u64 total_blocks);
   Ticket close_file_async(u32 target, InodeNo ino);
   Ticket delete_file_async(u32 target, InodeNo ino);

@@ -11,14 +11,18 @@
 // matters for parallel-I/O cost is how many wire messages a logical
 // operation becomes, so each *aggregated* server operation (open-getlayout,
 // readdirplus) is ONE envelope, and block I/O envelopes carry *batches* of
-// runs so a batching transport can coalesce them.
+// runs so a staging transport can coalesce them.  The client never picks a
+// block-I/O envelope type itself: it hands each chunk of target-local runs
+// to rpc::Client::write_runs_async/read_runs_async, which choose the block,
+// strided or list shape (src/rpc/client.cpp, runs_envelope).
 //
 // Adding an op (see docs/ARCHITECTURE.md for the walk-through):
 //   1. add the enum value + a row in kOpTraits (same order!),
 //   2. define the request struct (kOp member + body_bytes()),
 //   3. add it to the Request variant (same position as the enum value),
 //   4. extend encode/decode in envelope.cpp and the dispatch visitor in
-//      inproc.cpp, plus a stub method on rpc::Client.
+//      inproc.cpp, plus a stub method on rpc::Client — or, for a new
+//      block-run shape, a case in runs_envelope's shape rule.
 //
 // Replica-target annotation (src/redundancy/redundancy.hpp): an envelope
 // addressed to a replica subfile carries the copy tag INSIDE its InodeNo

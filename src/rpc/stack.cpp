@@ -4,7 +4,9 @@
 
 namespace mif::rpc {
 
-TransportStack::TransportStack(Endpoints eps, const TransportOptions& opt) {
+TransportStack::TransportStack(Endpoints eps, const TransportOptions& opt,
+                               const sim::DiskGeometry& geometry,
+                               u32 mds_shards, shard::Policy placement) {
   inproc_ = std::make_unique<InprocTransport>(std::move(eps), opt.meta_net,
                                               opt.data_net);
   top_ = inproc_.get();
@@ -16,7 +18,7 @@ TransportStack::TransportStack(Endpoints eps, const TransportOptions& opt) {
     acfg.depth_max = opt.adaptive_depth_max;
     acfg.meta_net = opt.meta_net;
     acfg.data_net = opt.data_net;
-    acfg.geometry = opt.geometry;
+    acfg.geometry = geometry;
     async_ = std::make_unique<AsyncTransport>(*top_, acfg);
     top_ = async_.get();
   }
@@ -32,9 +34,9 @@ TransportStack::TransportStack(Endpoints eps, const TransportOptions& opt) {
     fault_ = std::make_unique<FaultTransport>(*top_);
     top_ = fault_.get();
   }
-  if (opt.mds_shards >= 2) {
-    sharded_ = std::make_unique<shard::ShardedTransport>(*top_, opt.mds_shards,
-                                                         opt.placement);
+  if (mds_shards >= 2) {
+    sharded_ = std::make_unique<shard::ShardedTransport>(*top_, mds_shards,
+                                                         placement);
     top_ = sharded_.get();
   }
 }

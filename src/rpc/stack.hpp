@@ -49,22 +49,22 @@ struct TransportOptions {
   /// in [2, adaptive_depth_max] (builds the async layer even when
   /// pipeline_depth is 1, starting at max(2, pipeline_depth)).  0 = static.
   u32 adaptive_depth_max{0};
-  /// Disk geometry for AsyncTransport's per-envelope service estimate
-  /// (should match the OSDs' spindle geometry).
-  sim::DiskGeometry geometry{};
   /// Build a FaultTransport on top (disarmed until FaultTransport::arm).
   bool inject_faults{false};
-  /// Metadata shards to route across; <= 1 keeps the single-MDS chain (no
-  /// ShardedTransport is built, so the default figures stay byte-identical).
-  u32 mds_shards{1};
-  /// Namespace placement across shards (ignored for mds_shards <= 1).
-  shard::Policy placement{shard::Policy::kSubtree};
 };
 
 class TransportStack {
  public:
   TransportStack() = default;
-  TransportStack(Endpoints eps, const TransportOptions& opt);
+  /// `geometry` prices AsyncTransport's per-envelope disk service (the
+  /// OSDs' spindle geometry).  `mds_shards` >= 2 builds the shard router
+  /// with `placement`; <= 1 keeps the single-MDS chain (no
+  /// ShardedTransport, so the default figures stay byte-identical).  All
+  /// three come from the cluster's target and metadata config, not from
+  /// TransportOptions.
+  TransportStack(Endpoints eps, const TransportOptions& opt,
+                 const sim::DiskGeometry& geometry, u32 mds_shards,
+                 shard::Policy placement);
 
   TransportStack(TransportStack&&) = default;
   TransportStack& operator=(TransportStack&&) = default;

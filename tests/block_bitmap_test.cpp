@@ -159,7 +159,7 @@ class RunReference {
   std::vector<u64> order(u64 goal) const {
     std::vector<u64> o;
     for (u64 p = goal; p < size(); ++p) o.push_back(p);
-    for (u64 p = 0; p < goal; ++p) o.push_back(p);
+    for (u64 p = 0; p < std::min(goal, size()); ++p) o.push_back(p);
     return o;
   }
 
@@ -313,6 +313,27 @@ TEST(BitmapReference, WantLenBeyondSizeReturnsLongestRun) {
     EXPECT_EQ(r->start.v, 101u);
     EXPECT_EQ(r->length, 149u);
   }
+}
+
+// A goal past the end wraps straight to block 0: the search covers the
+// whole bitmap once and returns, on full and on partly free bitmaps alike.
+TEST(BitmapReference, GoalBeyondSizeWrapsToStart) {
+  mif::Rng rng(27);
+  for (int iter = 0; iter < 300; ++iter) {
+    const u64 n = rng.uniform(1, 700);
+    const double p = iter % 3 == 0 ? 1.0 : rng.uniform01();
+    std::vector<bool> used(n);
+    for (u64 i = 0; i < n; ++i) used[i] = rng.chance(p);
+    const u64 len = rng.uniform(1, 24);
+    expect_matches_reference(used, rng.uniform(n + 1, 2 * n),
+                             rng.uniform(0, len), len);
+  }
+  std::vector<bool> full(100, true);
+  EXPECT_FALSE(make_bitmap(full).find_run(150, 4).has_value());
+  EXPECT_FALSE(make_bitmap(full).find_run_best(150, 1, 4).has_value());
+  std::vector<bool> tail_free(100, true);
+  for (u64 i = 90; i < 100; ++i) tail_free[i] = false;
+  EXPECT_EQ(make_bitmap(tail_free).find_run(200, 4), std::optional<u64>{90});
 }
 
 }  // namespace

@@ -177,6 +177,14 @@ TEST(PfsIntegration, DataElapsedIsMaxOverTargets) {
   fs.drain_data();
   EXPECT_DOUBLE_EQ(fs.data_elapsed_ms(), fs.target(0).elapsed_ms());
   EXPECT_DOUBLE_EQ(fs.target(1).elapsed_ms(), 0.0);
+  // Two units on target 1 (rounds 0 and 1): the cluster's elapsed time is
+  // the slowest member's timeline, not the sum over members.
+  ASSERT_TRUE(c.write(*fh, 0, 16 * kBlockSize, 16 * kBlockSize).ok());
+  ASSERT_TRUE(c.write(*fh, 0, 96 * kBlockSize, 16 * kBlockSize).ok());
+  fs.drain_data();
+  EXPECT_GT(fs.target(1).elapsed_ms(), fs.target(0).elapsed_ms());
+  EXPECT_DOUBLE_EQ(fs.data_elapsed_ms(), fs.target(1).elapsed_ms());
+  EXPECT_DOUBLE_EQ(fs.target(2).elapsed_ms(), 0.0);
 }
 
 }  // namespace
